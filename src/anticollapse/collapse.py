@@ -25,6 +25,7 @@ from .complexes import (
     SimplicialComplex,
     digest,
     link_and_del,
+    make_face,
 )
 from .errors import InputError, StepError
 
@@ -76,9 +77,11 @@ class Certificate:
             payload = json.loads(text)
             kind = payload["kind"]
             steps = tuple(
-                StepPair(tuple(free), tuple(coface), kind)
+                StepPair(make_face(free), make_face(coface), kind)
                 for free, coface in payload["steps"]
             )
+            if [[list(s.free), list(s.coface)] for s in steps] != payload["steps"]:
+                raise InputError("vertex lists must be sorted integers without repeats")
             return Certificate(kind, steps, payload["start"], payload["end"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed certificate: {exc}") from exc
@@ -426,6 +429,36 @@ def _backtrack_collapse(
     return recurse()
 
 
+def _collapse_masks(
+    X: SimplicialComplex,
+    rng_seed: int,
+    restarts: int,
+    backtrack: bool,
+    backtrack_face_limit: int = 25,
+    backtrack_node_budget: int = 50_000,
+) -> Optional[tuple[_Workbench, list[tuple[int, int]]]]:
+    """The search behind search_collapse, without building a certificate:
+    the end workbench and mask steps of a full collapse, or None.
+    """
+    if not X.faces_of_dim(0):
+        raise InputError("collapse search needs at least one vertex")
+    rng = Random(rng_seed)
+    for _ in range(max(1, restarts)):
+        wb = _Workbench(X)
+        steps = _greedy_collapse(wb, rng)
+        if steps is not None:
+            return wb, steps
+    faces_above_0 = len(X.faces) - X.n_faces(0) - 1
+    if backtrack and 0 < faces_above_0 <= backtrack_face_limit:
+        steps = _backtrack_collapse(X, backtrack_node_budget)
+        if steps is not None:
+            wb = _Workbench(X)
+            for t, c in steps:
+                wb.collapse(t, c)
+            return wb, steps
+    return None
+
+
 def search_collapse(
     X: SimplicialComplex,
     rng_seed: int = 0,
@@ -441,33 +474,21 @@ def search_collapse(
     backtracking on small complexes.  Absence of a certificate is not a
     proof of non-collapsibility.
     """
-    if not X.faces_of_dim(0):
-        raise InputError("collapse search needs at least one vertex")
-    start = digest(X)
-    rng = Random(rng_seed)
-    for _ in range(max(1, restarts)):
-        wb = _Workbench(X)
-        steps = _greedy_collapse(wb, rng)
-        if steps is not None:
-            return _certificate_from_masks(X, wb, steps, start)
-    faces_above_0 = len(X.faces) - X.n_faces(0) - 1
-    if backtrack and 0 < faces_above_0 <= backtrack_face_limit:
-        steps = _backtrack_collapse(X, backtrack_node_budget)
-        if steps is not None:
-            wb = _Workbench(X)
-            for t, c in steps:
-                wb.collapse(t, c)
-            return _certificate_from_masks(X, wb, steps, start)
-    return None
+    found = _collapse_masks(
+        X, rng_seed, restarts, backtrack, backtrack_face_limit, backtrack_node_budget
+    )
+    if found is None:
+        return None
+    return _certificate_from_masks(X, *found)
 
 
 def _certificate_from_masks(
-    X: SimplicialComplex, end_wb: _Workbench, steps: list[tuple[int, int]], start: str
+    X: SimplicialComplex, end_wb: _Workbench, steps: list[tuple[int, int]]
 ) -> Certificate:
     tr = end_wb.face
     pairs = tuple(StepPair(tr(t), tr(c), COLLAPSE) for t, c in steps)
     end = digest(end_wb.to_complex(X.ground_set))
-    return Certificate(COLLAPSE, pairs, start, end)
+    return Certificate(COLLAPSE, pairs, digest(X), end)
 
 
 def random_discrete_morse(

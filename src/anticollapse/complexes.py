@@ -133,16 +133,13 @@ class SimplicialComplex:
     def facets(self) -> tuple[Face, ...]:
         """Maximal faces, canonically sorted."""
         if self._facets is None:
-            # In a downward-closed family a face is maximal iff it has no
-            # coface one dimension up.
-            maximal = []
+            # In a downward-closed family a face is maximal iff it is not a
+            # subface, one dimension down, of another face.
+            covered: set[Face] = set()
             for f in self._faces:
-                d = len(f) - 1
-                cofaces = self._by_dim.get(d + 1, frozenset())
-                fset = set(f)
-                if not any(fset < set(g) for g in cofaces):
-                    maximal.append(f)
-            self._facets = tuple(sorted(maximal))
+                if f:
+                    covered.update(combinations(f, len(f) - 1))
+            self._facets = tuple(sorted(self._faces - covered))
         return self._facets
 
     def is_simplex(self) -> bool:

@@ -6,7 +6,9 @@ complex with no faces, and the complex with only the empty face dualizes to
 the full boundary) makes the construction an exact involution.
 
 Every elementary collapse on X transports to an elementary anticollapse on
-the dual, which is how expansion certificates are produced here.
+the dual, which is how expansion certificates are produced here.  Only
+callers that print or store an expansion certificate get one built:
+classification asks whether the dual collapses and builds no certificate.
 """
 from __future__ import annotations
 
@@ -18,8 +20,9 @@ from .collapse import (
     COLLAPSE,
     Certificate,
     StepPair,
+    _certificate_from_masks,
+    _collapse_masks,
     replay,
-    search_collapse,
 )
 from .complexes import (
     EMPTY_FACE,
@@ -110,7 +113,8 @@ def dual_certificate(X: SimplicialComplex, cert: Certificate) -> Certificate:
 
     When the collapse ends at a single vertex, the transported sequence is
     finished with the dual of the trivial final collapse, so the output
-    expands the dual of X all the way to the full simplex.
+    expands the dual of X all the way to the full simplex.  Otherwise the
+    expansion ends at the dual of the collapse's end.
     """
     if cert.kind != COLLAPSE:
         raise InputError("only collapse certificates are transported")
@@ -121,32 +125,33 @@ def dual_certificate(X: SimplicialComplex, cert: Certificate) -> Certificate:
         # ends at a lone vertex v: append the dual of the trivial collapse,
         # adding the missing (n-2)-face and the top face
         (v,) = next(iter(end.faces_of_dim(0)))
-        steps.append(
-            StepPair(
-                tuple(sorted(ground - {v})),
-                tuple(sorted(ground)),
-                ANTICOLLAPSE,
-            )
-        )
-    start_complex = alexander_dual(X)
-    transported = Certificate(
-        ANTICOLLAPSE,
-        tuple(steps),
-        digest(start_complex),
-        "",
-    )
-    # fill in the end digest by replaying
-    final = _replay_loose(start_complex, transported)
-    return Certificate(ANTICOLLAPSE, tuple(steps), digest(start_complex), digest(final))
+        whole = tuple(sorted(ground))
+        steps.append(StepPair(tuple(sorted(ground - {v})), whole, ANTICOLLAPSE))
+        final = from_facets([whole], ground=ground)
+    else:
+        final = alexander_dual(end)
+    start = alexander_dual(X)
+    transported = Certificate(ANTICOLLAPSE, tuple(steps), digest(start), digest(final))
+    replay(start, transported)
+    return transported
 
 
-def _replay_loose(X: SimplicialComplex, cert: Certificate) -> SimplicialComplex:
-    from .collapse import _Workbench  # replay without an end digest
-
-    wb = _Workbench(X)
-    for step in cert.steps:
-        wb.apply(wb.mask(step.free), wb.mask(step.coface), step.direction, True)
-    return wb.to_complex(X.ground_set)
+def _dual_collapse(
+    X: SimplicialComplex,
+    dual: SimplicialComplex,
+    rng_seed: int,
+    restarts: int,
+    backtrack: bool,
+) -> Optional[tuple]:
+    """Whether the given dual of X collapses: the search's end workbench and
+    mask steps on the dual, None when no collapse was found, and (None, [])
+    for the full simplex, whose void dual needs no step.
+    """
+    if X.is_simplex():
+        return None, []
+    if not dual.faces_of_dim(0):
+        return None  # dual carries no vertex, nothing can collapse
+    return _collapse_masks(dual, rng_seed, restarts, backtrack)
 
 
 def is_anticollapsible(
@@ -163,16 +168,13 @@ def is_anticollapsible(
     """
     if not X.faces:
         raise InputError("expansion search needs a nonvoid complex")
-    if X.is_simplex():
-        d = digest(X)
-        return Certificate(ANTICOLLAPSE, (), d, d)
     dual = alexander_dual(X)
-    if not dual.faces_of_dim(0):
-        return None  # dual carries no vertex, nothing can collapse
-    cert = search_collapse(dual, rng_seed=rng_seed, restarts=restarts, backtrack=backtrack)
-    if cert is None:
+    found = _dual_collapse(X, dual, rng_seed, restarts, backtrack)
+    if found is None:
         return None
-    return dual_certificate(dual, cert)
+    if found[0] is None:  # X is the full simplex
+        return Certificate(ANTICOLLAPSE, (), digest(X), digest(X))
+    return dual_certificate(dual, _certificate_from_masks(dual, *found))
 
 
 def check_alexander_duality(X: SimplicialComplex, field: int | str = "Q") -> bool:

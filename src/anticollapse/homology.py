@@ -292,21 +292,21 @@ def field_betti(X: SimplicialComplex, i: int, field: int | str = "Q") -> int:
         _check_prime(field)
     if not X.faces:
         return 0
-    top = X.dim
-    if i < -1 or i > top:
+    if i < -1 or i > X.dim:
         return 0
-
-    def rk(k: int) -> int:
-        if k > top or k < 0:
-            return 0
-        cols = _matrix_columns(boundary_matrix(X, k))
-        if isinstance(field, int):
-            return rank_mod_p(cols, field)
-        return rank_q(cols)
-
     if i == -1:
-        return 1 - rk(0)
-    return X.n_faces(i) - rk(i) - rk(i + 1)
+        return 1 - _field_rank(X, 0, field)
+    return X.n_faces(i) - _field_rank(X, i, field) - _field_rank(X, i + 1, field)
+
+
+def _field_rank(X: SimplicialComplex, k: int, field: int | str) -> int:
+    """Rank of the k-th boundary map over Q or the prime field."""
+    if k > X.dim or k < 0:
+        return 0
+    cols = _matrix_columns(boundary_matrix(X, k))
+    if isinstance(field, int):
+        return rank_mod_p(cols, field)
+    return rank_q(cols)
 
 
 def _check_prime(p: int) -> None:
@@ -322,24 +322,20 @@ def _check_prime(p: int) -> None:
 def is_acyclic(X: SimplicialComplex, ring: int | str = "Z") -> bool:
     """True iff all reduced homology vanishes over the ring.
 
-    ring is "Z", "Q", or a prime p for the field with p elements.
+    ring is "Z", "Q", or a prime p for the field with p elements.  Over a
+    field only boundary ranks are needed, each computed once.
     """
     if isinstance(ring, int):
         _check_prime(ring)
-        if not X.faces or X.dim < 0:
-            return False
-        return all(field_betti(X, i, ring) == 0 for i in range(X.dim + 1))
-    if ring == "Q":
-        if not X.faces or X.dim < 0:
-            return False
-        profile = homology(X)
-        return not any(profile.betti)
+    elif ring not in ("Q", "Z"):
+        raise InputError(f"unknown coefficient ring {ring!r}")
+    if not X.faces or X.dim < 0:
+        return False
     if ring == "Z":
-        if not X.faces or X.dim < 0:
-            return False
-        profile = homology(X)
-        return profile.is_trivial()
-    raise InputError(f"unknown coefficient ring {ring!r}")
+        return homology(X).is_trivial()
+    top = X.dim
+    ranks = [_field_rank(X, k, ring) for k in range(top + 1)] + [0]
+    return all(X.n_faces(i) == ranks[i] + ranks[i + 1] for i in range(top + 1))
 
 
 def adds_top_cycle(X: SimplicialComplex, sigma: Face) -> bool:

@@ -7,21 +7,26 @@ generator processes the candidate top faces in a seeded random order and
 keeps exactly those that do not create a rational cycle, stopping at the
 spanning count C(n-1, d).  The processing order is not a uniform sampler
 over hypertrees.
+
+Classification only asks whether a complex and its dual collapse, so it
+runs the collapse searches without building any certificate; callers that
+want one use search_collapse or is_anticollapsible.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from random import Random
 from typing import Iterator, Optional
 
-from .collapse import core_erosion, free_faces, search_collapse
+from .collapse import _collapse_masks, core_erosion, free_faces
 from .complexes import Face, SimplicialComplex, from_facets
-from .duality import alexander_dual, is_anticollapsible
+from .duality import _dual_collapse, alexander_dual
 from .errors import InputError, SizeError
 from .homology import (
+    HomologyProfile,
     IncrementalRank,
     boundary_column,
     homology,
@@ -123,15 +128,16 @@ def spanning_torsion_order(X: SimplicialComplex, d: int) -> int:
 
 def torsion_order(X: SimplicialComplex, d: int) -> int:
     """|H_(d-1)(X)| from the integer normal form (must be finite)."""
-    profile = homology(X)
-    if d - 1 < 0 or d - 1 >= len(profile.betti):
+    return _finite_order(homology(X), d - 1)
+
+
+def _finite_order(profile: HomologyProfile, i: int) -> int:
+    """|H_i| from a homology profile, as in torsion_order."""
+    if i < 0 or i >= len(profile.betti):
         return 1
-    if profile.betti[d - 1] != 0:
+    if profile.betti[i] != 0:
         raise InputError("torsion order is only defined when the group is finite")
-    order = 1
-    for t in profile.torsion[d - 1]:
-        order *= t
-    return order
+    return prod(profile.torsion[i])
 
 
 @dataclass
@@ -160,22 +166,6 @@ class HypertreeReport:
         return self.collapsible == REFUTED and self.anticollapsible == REFUTED
 
 
-_SKELETON_RANK_CACHE: dict[tuple[int, int], int] = {}
-
-
-def _complete_skeleton_rank(n: int, k: int) -> int:
-    """Rank over Q of the k-th boundary map of the complete complex on [n]."""
-    key = (n, k)
-    if key not in _SKELETON_RANK_CACHE:
-        rows = sorted(combinations(range(1, n + 1), k))
-        row_index = {f: i for i, f in enumerate(rows)}
-        state = IncrementalRank()
-        for face in combinations(range(1, n + 1), k + 1):
-            state.add(boundary_column(face, row_index))
-        _SKELETON_RANK_CACHE[key] = state.rank
-    return _SKELETON_RANK_CACHE[key]
-
-
 def _has_complete_lower_skeleton(X: SimplicialComplex, d: int) -> bool:
     n = len(X.ground_set)
     return all(X.n_faces(k) == comb(n, k + 1) for k in range(d))
@@ -189,9 +179,12 @@ def is_hypertree(
 ) -> HypertreeReport:
     """Verify rational acyclicity and classify collapse behaviour.
 
-    The collapsible / anticollapsible flags are three-valued: a certificate
-    was found, the property was refuted by a surviving top-dimensional core
-    (on the complex or on its dual), or unknown within the search budget.
+    The collapsible / anticollapsible flags are three-valued: a collapse
+    (of the complex or of its dual) was found, the property was refuted by a
+    surviving top-dimensional core (on the complex or on its dual), or
+    unknown within the search budget.  No certificate is built; the found
+    cases are exactly those where search_collapse and is_anticollapsible,
+    with the same seeds and backtracking off, return one.
     """
     if X.dim != d:
         raise InputError(f"expected a complex of dimension {d}, got {X.dim}")
@@ -199,47 +192,33 @@ def is_hypertree(
     facet_count = X.n_faces(d)
 
     if _has_complete_lower_skeleton(X, d) and facet_count == comb(n - 1, d):
-        # complete lower skeleton: acyclicity reduces to the top rank
+        # complete lower skeleton: the boundary maps below d have the ranks
+        # of the full simplex, C(n-1, k), so only the top rank can fail
         rows = sorted(X.faces_of_dim(d - 1))
         row_index = {f: i for i, f in enumerate(rows)}
         state = IncrementalRank()
         for face in sorted(X.faces_of_dim(d)):
             state.add(boundary_column(face, row_index))
-        lower_ok = all(
-            comb(n, k + 1) - _complete_skeleton_rank(n, k) - _complete_skeleton_rank(n, k + 1) == 0
-            for k in range(d - 1)
-        )
-        top_ok = (
-            state.rank == facet_count
-            and comb(n, d) - _complete_skeleton_rank(n, d - 1) - state.rank == 0
-        )
-        q_acyclic = lower_ok and top_ok
+        q_acyclic = state.rank == facet_count
         torsion = spanning_torsion_order(X, d) if q_acyclic else 0
     else:
         profile = homology(X)
         q_acyclic = not any(profile.betti)
-        torsion = torsion_order(X, d) if q_acyclic else 0
+        torsion = _finite_order(profile, d - 1) if q_acyclic else 0
 
-    residue, d_collapsible = core_erosion(X)
-    del residue
+    _, d_collapsible = core_erosion(X)
     if not d_collapsible:
         collapsible = REFUTED
     else:
-        cert = search_collapse(X, rng_seed=rng_seed, restarts=restarts, backtrack=False)
-        collapsible = FOUND if cert is not None else UNKNOWN
+        found = _collapse_masks(X, rng_seed, restarts, backtrack=False)
+        collapsible = FOUND if found is not None else UNKNOWN
 
     dual = alexander_dual(X)
-    if dual.dim >= 1:
-        _, dual_top_collapsible = core_erosion(dual)
-    else:
-        dual_top_collapsible = True
-    if not dual_top_collapsible:
+    if dual.dim >= 1 and not core_erosion(dual)[1]:
         anticollapsible = REFUTED
     else:
-        anti = is_anticollapsible(
-            X, rng_seed=_derive_seed(rng_seed, 1), restarts=restarts, backtrack=False
-        )
-        anticollapsible = FOUND if anti is not None else UNKNOWN
+        found = _dual_collapse(X, dual, _derive_seed(rng_seed, 1), restarts, backtrack=False)
+        anticollapsible = FOUND if found is not None else UNKNOWN
 
     return HypertreeReport(
         complex=X,
@@ -284,10 +263,7 @@ def kalai_check(n: int, d: int) -> tuple[int, int, bool]:
         for j, f in enumerate(subset):
             for i, v in columns[f].items():
                 dense[i][j] = v
-        order = 1
-        for t in smith_invariant_factors(dense):
-            if t > 1:
-                order *= t
+        order = prod(smith_invariant_factors(dense))
         weighted_sum += order * order
     expected = n ** comb(n - 2, d)
     return weighted_sum, expected, weighted_sum == expected

@@ -159,3 +159,23 @@ def test_reproduce_quick(capsys):
     assert "catalog Y28_2" in out
     assert "witness matrix n=10" in out
     assert "rows pass" in out
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda free, coface: (free, [float(v) for v in coface]),
+        lambda free, coface: (free, [True if v == 1 else v for v in coface]),
+        lambda free, coface: (free, coface[::-1]),
+        lambda free, coface: (free[:1] + free[:-1], coface),
+    ],
+    ids=["float", "boolean", "unsorted", "repeated"],
+)
+def test_verify_cert_rejects_noncanonical_vertex_lists(simplex_file, tmp_path, capsys, mutate):
+    cert_path = tmp_path / "simplex.cert"
+    main(["collapse", simplex_file, "--seed", "5", "--out", str(cert_path)])
+    payload = json.loads(cert_path.read_text())
+    payload["steps"][0] = list(mutate(*payload["steps"][0]))
+    cert_path.write_text(json.dumps(payload))
+    assert main(["verify-cert", simplex_file, str(cert_path)]) == EXIT_USAGE
+    assert "replay ok" not in capsys.readouterr().out

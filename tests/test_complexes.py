@@ -24,7 +24,7 @@ from anticollapse.complexes import (
 )
 from anticollapse.errors import InputError
 
-from conftest import random_complex
+from conftest import all_complexes_on, random_complex
 
 Y28_FACETS = [
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 3, 8), (1, 6, 8),
@@ -68,6 +68,18 @@ def test_from_facets_idempotent_on_random_complexes():
         X = random_complex(rng)
         again = from_facets(X.facets(), ground=X.ground_set)
         assert again == X
+
+
+def test_facets_match_the_definition():
+    # a facet is a face contained in no other face
+    rng = Random(17)
+    complexes = [random_complex(rng) for _ in range(60)]
+    complexes += list(all_complexes_on((1, 2, 3)))
+    for X in complexes:
+        brute = sorted(
+            f for f in X.faces if not any(set(f) < set(g) for g in X.faces)
+        )
+        assert list(X.facets()) == brute
 
 
 def test_face_counts_of_full_simplex():

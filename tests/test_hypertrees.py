@@ -5,9 +5,13 @@ from itertools import combinations
 from math import comb
 from random import Random
 
+import hashlib
+
 import pytest
 
-from anticollapse.complexes import connected_components, from_facets
+from anticollapse.collapse import search_collapse
+from anticollapse.complexes import SimplicialComplex, connected_components, from_facets
+from anticollapse.duality import is_anticollapsible
 from anticollapse.errors import InputError, SizeError
 from anticollapse.homology import (
     IncrementalRank,
@@ -19,6 +23,8 @@ from anticollapse.homology import (
 from anticollapse.hypertrees import (
     FOUND,
     REFUTED,
+    UNKNOWN,
+    _derive_seed,
     complete_skeleton,
     is_hypertree,
     kalai_check,
@@ -197,3 +203,58 @@ def test_survey_stream_is_seed_deterministic():
     first = [r.torsion_order for _, r in survey(6, 2, 10, rng_seed=77)]
     second = [r.torsion_order for _, r in survey(6, 2, 10, rng_seed=77)]
     assert first == second
+
+
+def test_full_simplex_report_found_both_ways():
+    report = is_hypertree(SimplicialComplex.simplex(4), 3)
+    assert (report.collapsible, report.anticollapsible) == (FOUND, FOUND)
+
+
+def test_q_cyclic_complex_on_the_spanning_fast_path():
+    # complete 1-skeleton on [5] with C(4,2) = 6 triangles, four of which
+    # bound the tetrahedron [1234]: the spanning shortcut applies and must
+    # see the 2-cycle
+    triangles = list(combinations((1, 2, 3, 4), 3)) + [(1, 2, 5), (3, 4, 5)]
+    X = from_facets(triangles + list(combinations(range(1, 6), 2)))
+    assert X.n_faces(2) == comb(4, 2)
+    report = is_hypertree(X, 2, rng_seed=3)
+    assert not report.q_acyclic
+    assert report.torsion_order == 0
+
+
+# sha256 of survey CSVs for fixed seeds: how classification answers must
+# never change what a seeded survey writes
+SURVEY_CSV_SHA256 = {
+    (8, 3, 200, 20250808): "07e005036b949c5181c19cd6c64e3673047739f1d52dd5e67095465630eeddad",
+    (7, 2, 200, 11): "aa4c1cdcaf2d944630c1cbd8f3d102a720df585b56e908aef9962dec53d14b67",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SURVEY_CSV_SHA256))
+def test_survey_csv_is_pinned(args, tmp_path):
+    csv_path = tmp_path / "survey.csv"
+    run_survey(*args, csv_path=str(csv_path))
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == SURVEY_CSV_SHA256[args]
+
+
+def test_classification_agrees_with_certificate_search():
+    # FOUND must mean exactly that the public searches, with the same seeds
+    # and no backtracking, return a certificate; the handpicked complexes
+    # add cases where the search fails (a 1-cycle next to a triangle) or a
+    # core refutes (the projective plane)
+    cases = [(seed, r.complex) for seed, r in survey(7, 2, 30, rng_seed=2024)]
+    cycle = from_facets([(1, 2, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+    cases += [(1, cycle), (5, rp2()), (2, SimplicialComplex.simplex(4))]
+    outcomes = set()
+    for seed, X in cases:
+        report = is_hypertree(X, X.dim, rng_seed=seed, restarts=8)
+        outcomes.add(report.collapsible)
+        if report.collapsible != REFUTED:
+            cert = search_collapse(X, rng_seed=seed, restarts=8, backtrack=False)
+            assert (report.collapsible == FOUND) == (cert is not None)
+        if report.anticollapsible != REFUTED:
+            anti = is_anticollapsible(
+                X, rng_seed=_derive_seed(seed, 1), restarts=8, backtrack=False
+            )
+            assert (report.anticollapsible == FOUND) == (anti is not None)
+    assert outcomes == {FOUND, REFUTED, UNKNOWN}
