@@ -14,6 +14,7 @@ bookkeeping under duality.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import permutations
 from random import Random
@@ -130,32 +131,56 @@ class MorseVector:
 #
 # Engines below run on integer bitmasks over the sorted ground set.  Only
 # nonempty faces are cells; the empty face never enters the workbench.
+#
+# Searches keep a free-pair index: each free face maps to its unique coface,
+# and the free faces are bucketed by coface size.  In a closed family a face
+# is free exactly when it has degree 1 (a face covering its one coface would
+# give it a second).  Every move (collapse, expansion, removal of a facet)
+# inserts or removes facets one at a time, keeping the family closed after
+# each.  A facet has degree 0, and inserting or removing it changes degrees
+# only on its codimension-one faces, so only they are refreshed.  The index
+# is built on first use, so replay and apply_step, which validate with deg
+# alone, never pay for it.
 
 
 class _Workbench:
-    __slots__ = ("labels", "bit_of", "faces", "by_size", "deg", "all_bits")
+    __slots__ = (
+        "labels", "bit_of", "label_of", "faces", "by_size", "deg", "all_bits", "free", "buckets"
+    )
 
     def __init__(self, X: SimplicialComplex):
         self.labels: tuple[int, ...] = tuple(sorted(X.ground_set))
         self.bit_of = {v: 1 << i for i, v in enumerate(self.labels)}
+        self.label_of = {b: v for v, b in self.bit_of.items()}
         self.all_bits = (1 << len(self.labels)) - 1
-        self.faces: set[int] = set()
+        bit = self.bit_of.__getitem__  # faces of X lie in its ground set
+        self.faces: set[int] = {sum(map(bit, f)) for f in X.faces if f}
         self.by_size: dict[int, set[int]] = {}
-        self.deg: dict[int, int] = {}
-        for f in X.faces:
-            if f:
-                self.faces.add(self.mask(f))
+        self.deg: dict[int, int] = dict.fromkeys(self.faces, 0)
+        self.free: Optional[dict[int, int]] = None  # free face -> coface
+        self.buckets: dict[int, list[int]] = {}  # coface size -> sorted free faces
         for m in self.faces:
             self.by_size.setdefault(m.bit_count(), set()).add(m)
-            self.deg.setdefault(m, 0)
-        for m in self.faces:
-            k = m.bit_count()
-            if k >= 2:
-                rest = m
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    self.deg[m ^ b] += 1
+            rest = m if m & (m - 1) else 0  # vertices have no nonempty facet
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                self.deg[m ^ b] += 1
+
+    def copy(self, indexed: bool = True) -> "_Workbench":
+        """An independent workbench in the same state; the index is copied
+        when there is one and indexed is True."""
+        new = _Workbench.__new__(_Workbench)
+        new.labels, new.bit_of, new.label_of = self.labels, self.bit_of, self.label_of
+        new.all_bits = self.all_bits
+        new.faces = set(self.faces)
+        new.by_size = {k: set(fs) for k, fs in self.by_size.items()}
+        new.deg = dict(self.deg)
+        new.free, new.buckets = None, {}
+        if indexed and self.free is not None:
+            new.free = dict(self.free)
+            new.buckets = {k: ts[:] for k, ts in self.buckets.items()}
+        return new
 
     def mask(self, face: Face) -> int:
         m = 0
@@ -167,7 +192,12 @@ class _Workbench:
         return m
 
     def face(self, mask: int) -> Face:
-        return tuple(v for v in self.labels if self.bit_of[v] & mask)
+        out = []
+        while mask:
+            b = mask & -mask
+            out.append(self.label_of[b])
+            mask ^= b
+        return tuple(out)
 
     def max_size(self) -> int:
         sizes = [s for s, fs in self.by_size.items() if fs]
@@ -177,6 +207,7 @@ class _Workbench:
         self.faces.add(m)
         self.by_size.setdefault(m.bit_count(), set()).add(m)
         self.deg.setdefault(m, 0)
+        indexed = self.free is not None
         rest = m
         while rest:
             b = rest & -rest
@@ -184,10 +215,13 @@ class _Workbench:
             sub = m ^ b
             if sub:
                 self.deg[sub] = self.deg.get(sub, 0) + 1
+                if indexed:
+                    self._refresh(sub)
 
     def _remove(self, m: int) -> None:
         self.faces.discard(m)
         self.by_size[m.bit_count()].discard(m)
+        indexed = self.free is not None
         rest = m
         while rest:
             b = rest & -rest
@@ -195,6 +229,8 @@ class _Workbench:
             sub = m ^ b
             if sub:
                 self.deg[sub] -= 1
+                if indexed:
+                    self._refresh(sub)
 
     def unique_coface(self, m: int) -> int:
         rest = self.all_bits & ~m
@@ -205,19 +241,40 @@ class _Workbench:
                 return m | b
         raise StepError(f"face {self.face(m)} has no coface")
 
+    # the free-pair index
+
+    def free_index(self) -> dict[int, int]:
+        """Every free face mapped to its coface, built on first use."""
+        if self.free is None:
+            self.free, self.buckets = {}, {}
+            for m in self.faces:
+                self._refresh(m)
+        return self.free
+
+    def _refresh(self, m: int) -> None:
+        """Recompute whether m is free and file it accordingly.  By closure
+        the one face covering m is a facet, so m is free iff its degree is 1."""
+        c = self.unique_coface(m) if m in self.faces and self.deg[m] == 1 else 0
+        old = self.free.get(m, 0)
+        if c == old:
+            return
+        if old:
+            del self.free[m]
+            bucket = self.buckets[old.bit_count()]
+            del bucket[bisect_left(bucket, m)]
+        if c:
+            self.free[m] = c
+            insort(self.buckets.setdefault(c.bit_count(), []), m)
+
     def free_pairs_at_max_dim(self) -> list[tuple[int, int]]:
         """Free pairs whose coface size is maximal; empty if none anywhere."""
-        for size in range(self.max_size(), 0, -1):
-            found = []
-            for t in self.by_size.get(size - 1, ()):
-                if self.deg.get(t, 0) == 1:
-                    c = self.unique_coface(t)
-                    if self.deg.get(c, 0) == 0:
-                        found.append((t, c))
-            if found:
-                found.sort()
-                return found
-        return []
+        free = self.free_index()
+        sizes = [k for k, ts in self.buckets.items() if ts]
+        if not sizes:
+            return []
+        return [(t, free[t]) for t in self.buckets[max(sizes)]]
+
+    # moves
 
     def collapse(self, t: int, c: int) -> None:
         self._remove(c)
@@ -301,13 +358,9 @@ def free_faces(X: SimplicialComplex, allow_trivial: bool = False) -> list[StepPa
     face to be a facet one dimension up.  With the trivial flag, a lone
     vertex yields the pair (empty face, vertex).
     """
-    pairs: list[StepPair] = []
     wb = _Workbench(X)
-    for m in sorted(wb.faces):
-        if wb.deg.get(m, 0) == 1:
-            c = wb.unique_coface(m)
-            if wb.deg.get(c, 0) == 0:
-                pairs.append(StepPair(wb.face(m), wb.face(c), COLLAPSE))
+    tr = wb.face
+    pairs = [StepPair(tr(t), tr(c), COLLAPSE) for t, c in sorted(wb.free_index().items())]
     if allow_trivial and wb.is_single_vertex():
         only = next(iter(wb.faces))
         pairs.append(StepPair(EMPTY_FACE, wb.face(only), COLLAPSE))
@@ -361,10 +414,16 @@ def core_erosion(
     is a core (every (d-1)-face of it lies in at least two d-faces), which
     certifies that no collapse order can do better.
     """
-    d = X.dim
+    wb = _Workbench(X)
+    eroded = _core_erosion(wb, X.dim, rng_seed)
+    return wb.to_complex(X.ground_set), eroded
+
+
+def _core_erosion(wb: _Workbench, d: int, rng_seed: int | None = None) -> bool:
+    """core_erosion on the workbench of a d-complex, eroded in place.  The
+    erosion never reads the free-pair index, so pass a workbench without one."""
     if d < 1:
         raise InputError("erosion needs a complex of dimension at least 1")
-    wb = _Workbench(X)
     rng = Random(rng_seed) if rng_seed is not None else None
     top = d + 1  # mask size of d-faces
     candidates = sorted(m for m in wb.by_size.get(top - 1, ()) if wb.deg.get(m, 0) == 1)
@@ -384,8 +443,7 @@ def core_erosion(
             sub = c ^ b
             if sub != t and wb.deg.get(sub, 0) == 1:
                 candidates.append(sub)
-    survivors = wb.by_size.get(top, set())
-    return wb.to_complex(X.ground_set), not survivors
+    return not wb.by_size.get(top)
 
 
 def _greedy_collapse(wb: _Workbench, rng: Random) -> Optional[list[tuple[int, int]]]:
@@ -402,11 +460,9 @@ def _greedy_collapse(wb: _Workbench, rng: Random) -> Optional[list[tuple[int, in
         steps.append((t, c))
 
 
-def _backtrack_collapse(
-    X: SimplicialComplex, node_budget: int
-) -> Optional[list[tuple[int, int]]]:
-    """Exhaustive search over collapse orders with memoized dead states."""
-    wb = _Workbench(X)
+def _backtrack_collapse(wb: _Workbench, node_budget: int) -> Optional[list[tuple[int, int]]]:
+    """Exhaustive search over collapse orders with memoized dead states;
+    every collapse tried is expanded again, so wb ends where it started."""
     dead: set[frozenset[int]] = set()
     budget = [node_budget]
 
@@ -430,7 +486,7 @@ def _backtrack_collapse(
 
 
 def _collapse_masks(
-    X: SimplicialComplex,
+    wb: _Workbench,
     rng_seed: int,
     restarts: int,
     backtrack: bool,
@@ -438,24 +494,26 @@ def _collapse_masks(
     backtrack_node_budget: int = 50_000,
 ) -> Optional[tuple[_Workbench, list[tuple[int, int]]]]:
     """The search behind search_collapse, without building a certificate:
-    the end workbench and mask steps of a full collapse, or None.
+    the end workbench and mask steps of a full collapse, or None.  wb is
+    left as it was, apart from its index, which gets built.
     """
-    if not X.faces_of_dim(0):
+    if not wb.by_size.get(1):
         raise InputError("collapse search needs at least one vertex")
+    wb.free_index()
     rng = Random(rng_seed)
     for _ in range(max(1, restarts)):
-        wb = _Workbench(X)
-        steps = _greedy_collapse(wb, rng)
+        run = wb.copy()
+        steps = _greedy_collapse(run, rng)
         if steps is not None:
-            return wb, steps
-    faces_above_0 = len(X.faces) - X.n_faces(0) - 1
+            return run, steps
+    faces_above_0 = len(wb.faces) - len(wb.by_size[1])
     if backtrack and 0 < faces_above_0 <= backtrack_face_limit:
-        steps = _backtrack_collapse(X, backtrack_node_budget)
+        run = wb.copy()
+        steps = _backtrack_collapse(run, backtrack_node_budget)
         if steps is not None:
-            wb = _Workbench(X)
             for t, c in steps:
-                wb.collapse(t, c)
-            return wb, steps
+                run.collapse(t, c)
+            return run, steps
     return None
 
 
@@ -475,7 +533,7 @@ def search_collapse(
     proof of non-collapsibility.
     """
     found = _collapse_masks(
-        X, rng_seed, restarts, backtrack, backtrack_face_limit, backtrack_node_budget
+        _Workbench(X), rng_seed, restarts, backtrack, backtrack_face_limit, backtrack_node_budget
     )
     if found is None:
         return None
@@ -510,8 +568,7 @@ def random_discrete_morse(
     while wb.faces:
         if wb.is_single_vertex():
             counts[0] += 1
-            only = next(iter(wb.faces))
-            wb._remove(only)
+            wb._remove(next(iter(wb.faces)))
             continue
         free = wb.free_pairs_at_max_dim()
         if free:

@@ -20,6 +20,7 @@ from .collapse import (
     COLLAPSE,
     Certificate,
     StepPair,
+    _Workbench,
     _certificate_from_masks,
     _collapse_masks,
     replay,
@@ -32,7 +33,7 @@ from .complexes import (
     from_facets,
 )
 from .errors import InputError
-from .homology import field_betti
+from .homology import _check_ring, field_betti
 
 
 def minimal_nonfaces(X: SimplicialComplex) -> list[Face]:
@@ -118,6 +119,11 @@ def dual_certificate(X: SimplicialComplex, cert: Certificate) -> Certificate:
     """
     if cert.kind != COLLAPSE:
         raise InputError("only collapse certificates are transported")
+    return _transport(X, cert, alexander_dual(X))
+
+
+def _transport(X: SimplicialComplex, cert: Certificate, start: SimplicialComplex) -> Certificate:
+    """dual_certificate, given start, the dual of X, by a caller that has it."""
     end = replay(X, cert)  # validates the input certificate
     ground = X.ground_set
     steps = [dual_step(s, ground) for s in cert.steps]
@@ -130,7 +136,6 @@ def dual_certificate(X: SimplicialComplex, cert: Certificate) -> Certificate:
         final = from_facets([whole], ground=ground)
     else:
         final = alexander_dual(end)
-    start = alexander_dual(X)
     transported = Certificate(ANTICOLLAPSE, tuple(steps), digest(start), digest(final))
     replay(start, transported)
     return transported
@@ -138,20 +143,21 @@ def dual_certificate(X: SimplicialComplex, cert: Certificate) -> Certificate:
 
 def _dual_collapse(
     X: SimplicialComplex,
-    dual: SimplicialComplex,
+    dual_wb: _Workbench,
     rng_seed: int,
     restarts: int,
     backtrack: bool,
 ) -> Optional[tuple]:
-    """Whether the given dual of X collapses: the search's end workbench and
-    mask steps on the dual, None when no collapse was found, and (None, [])
-    for the full simplex, whose void dual needs no step.
+    """Whether the dual of X, given as its workbench, collapses: the
+    search's end workbench and mask steps on the dual, None when no collapse
+    was found, and (None, []) for the full simplex, whose void dual needs no
+    step.
     """
     if X.is_simplex():
         return None, []
-    if not dual.faces_of_dim(0):
+    if not dual_wb.by_size.get(1):
         return None  # dual carries no vertex, nothing can collapse
-    return _collapse_masks(dual, rng_seed, restarts, backtrack)
+    return _collapse_masks(dual_wb, rng_seed, restarts, backtrack)
 
 
 def is_anticollapsible(
@@ -169,12 +175,12 @@ def is_anticollapsible(
     if not X.faces:
         raise InputError("expansion search needs a nonvoid complex")
     dual = alexander_dual(X)
-    found = _dual_collapse(X, dual, rng_seed, restarts, backtrack)
+    found = _dual_collapse(X, _Workbench(dual), rng_seed, restarts, backtrack)
     if found is None:
         return None
     if found[0] is None:  # X is the full simplex
         return Certificate(ANTICOLLAPSE, (), digest(X), digest(X))
-    return dual_certificate(dual, _certificate_from_masks(dual, *found))
+    return _transport(dual, _certificate_from_masks(dual, *found), X)
 
 
 def check_alexander_duality(X: SimplicialComplex, field: int | str = "Q") -> bool:
@@ -183,6 +189,7 @@ def check_alexander_duality(X: SimplicialComplex, field: int | str = "Q") -> boo
     Checks that the reduced Betti number of X in dimension i equals that of
     the dual in dimension n - i - 3 for every i, n the ground set size.
     """
+    _check_ring(field)
     n = len(X.ground_set)
     dual = alexander_dual(X)
     for i in range(-1, n + 1):

@@ -288,8 +288,7 @@ def field_betti(X: SimplicialComplex, i: int, field: int | str = "Q") -> int:
     Supports i = -1 (nonzero only for the empty complex) and returns 0
     outside the dimension range, so it can be used on duals uniformly.
     """
-    if isinstance(field, int):
-        _check_prime(field)
+    _check_ring(field)
     if not X.faces:
         return 0
     if i < -1 or i > X.dim:
@@ -301,12 +300,22 @@ def field_betti(X: SimplicialComplex, i: int, field: int | str = "Q") -> int:
 
 def _field_rank(X: SimplicialComplex, k: int, field: int | str) -> int:
     """Rank of the k-th boundary map over Q or the prime field."""
+    _check_ring(field)
     if k > X.dim or k < 0:
         return 0
     cols = _matrix_columns(boundary_matrix(X, k))
     if isinstance(field, int):
         return rank_mod_p(cols, field)
     return rank_q(cols)
+
+
+def _check_ring(ring: int | str, integers: bool = False) -> None:
+    """Accept "Q", a prime p, and "Z" when integers is set; raise InputError
+    for anything else."""
+    if isinstance(ring, int):
+        _check_prime(ring)
+    elif ring != "Q" and not (integers and ring == "Z"):
+        raise InputError(f"unknown coefficient ring {ring!r}")
 
 
 def _check_prime(p: int) -> None:
@@ -325,10 +334,7 @@ def is_acyclic(X: SimplicialComplex, ring: int | str = "Z") -> bool:
     ring is "Z", "Q", or a prime p for the field with p elements.  Over a
     field only boundary ranks are needed, each computed once.
     """
-    if isinstance(ring, int):
-        _check_prime(ring)
-    elif ring not in ("Q", "Z"):
-        raise InputError(f"unknown coefficient ring {ring!r}")
+    _check_ring(ring, integers=True)
     if not X.faces or X.dim < 0:
         return False
     if ring == "Z":

@@ -21,7 +21,7 @@ from math import comb, prod
 from random import Random
 from typing import Iterator, Optional
 
-from .collapse import _collapse_masks, core_erosion, free_faces
+from .collapse import _Workbench, _collapse_masks, _core_erosion
 from .complexes import Face, SimplicialComplex, from_facets
 from .duality import _dual_collapse, alexander_dual
 from .errors import InputError, SizeError
@@ -75,38 +75,15 @@ def kruskal_generate(n: int, d: int, rng_seed: int) -> SimplicialComplex:
     return from_facets(facets, ground=range(1, n + 1))
 
 
-def _bareiss_det(matrix: list[list[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix."""
-    m = [row[:] for row in matrix]
-    size = len(m)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, size):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[size - 1][size - 1]
-
-
 def spanning_torsion_order(X: SimplicialComplex, d: int) -> int:
     """|H_(d-1)| of a spanning complex with complete (d-1)-skeleton.
 
     Uses the reduced top boundary matrix with rows restricted to the
     (d-1)-faces avoiding the largest vertex; for such complexes the absolute
     determinant equals the order of the torsion group (the d = 1 case is the
-    classical reduced incidence matrix of a spanning tree).
+    classical reduced incidence matrix of a spanning tree).  The determinant
+    is the product of the invariant factors, and 0 when there are fewer
+    factors than columns.
     """
     n = len(X.ground_set)
     if X.ground_set != frozenset(range(1, n + 1)):
@@ -123,7 +100,8 @@ def spanning_torsion_order(X: SimplicialComplex, d: int) -> int:
             i = row_index.get(sub)
             if i is not None:
                 dense[i][j] = -1 if k % 2 else 1
-    return abs(_bareiss_det(dense))
+    factors = smith_invariant_factors(dense)
+    return prod(factors) if len(factors) == len(top) else 0
 
 
 def torsion_order(X: SimplicialComplex, d: int) -> int:
@@ -206,18 +184,20 @@ def is_hypertree(
         q_acyclic = not any(profile.betti)
         torsion = _finite_order(profile, d - 1) if q_acyclic else 0
 
-    _, d_collapsible = core_erosion(X)
+    wb = _Workbench(X)
+    d_collapsible = _core_erosion(wb.copy(indexed=False), d)
     if not d_collapsible:
         collapsible = REFUTED
     else:
-        found = _collapse_masks(X, rng_seed, restarts, backtrack=False)
+        found = _collapse_masks(wb, rng_seed, restarts, backtrack=False)
         collapsible = FOUND if found is not None else UNKNOWN
 
     dual = alexander_dual(X)
-    if dual.dim >= 1 and not core_erosion(dual)[1]:
+    dual_wb = _Workbench(dual)
+    if dual.dim >= 1 and not _core_erosion(dual_wb.copy(indexed=False), dual.dim):
         anticollapsible = REFUTED
     else:
-        found = _dual_collapse(X, dual, _derive_seed(rng_seed, 1), restarts, backtrack=False)
+        found = _dual_collapse(X, dual_wb, _derive_seed(rng_seed, 1), restarts, backtrack=False)
         anticollapsible = FOUND if found is not None else UNKNOWN
 
     return HypertreeReport(
@@ -228,7 +208,7 @@ def is_hypertree(
         d_collapsible=d_collapsible,
         collapsible=collapsible,
         anticollapsible=anticollapsible,
-        free_face_count=len(free_faces(X)),
+        free_face_count=len(wb.free_index()),
     )
 
 

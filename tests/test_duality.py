@@ -197,6 +197,13 @@ def test_check_alexander_duality_randoms():
         assert check_alexander_duality(X, 2)
 
 
+def test_check_alexander_duality_rejects_unknown_fields():
+    X = from_facets([[1], [2]], ground=[1, 2, 3, 4])
+    for field in ("nonsense", "R", 6):
+        with pytest.raises(InputError):
+            check_alexander_duality(X, field)
+
+
 def test_is_anticollapsible_rejects_void():
     with pytest.raises(InputError):
         is_anticollapsible(SimplicialComplex.void([1, 2]), rng_seed=0)

@@ -1,0 +1,184 @@
+"""The incremental free-pair index of the collapse workbench, checked after
+every move against a rescan of the face set, and seeded outputs pinned."""
+from __future__ import annotations
+
+import hashlib
+from contextlib import contextmanager
+from random import Random
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anticollapse.collapse import (
+    _backtrack_collapse,
+    _collapse_masks,
+    _Workbench,
+    free_faces,
+    random_discrete_morse,
+)
+from anticollapse.complexes import SimplicialComplex, from_facets
+from anticollapse.constructions import _construct_complex, theorem2_construct
+from anticollapse.duality import alexander_dual
+from anticollapse.hypertrees import is_hypertree, kruskal_generate
+
+from conftest import random_complex, rp2
+
+
+def rescan_index(wb: _Workbench) -> dict[int, int]:
+    """Every free face and its coface, from the face set alone: a face is
+    free when exactly one face covers it and nothing covers that face."""
+
+    def covers(m: int) -> list[int]:
+        return [m | (1 << i) for i in range(len(wb.labels)) if not m >> i & 1 and m | (1 << i) in wb.faces]
+
+    index = {}
+    for t in wb.faces:
+        up = covers(t)
+        if len(up) == 1 and not covers(up[0]):
+            index[t] = up[0]
+    return index
+
+
+def top_pairs(index: dict[int, int]) -> list[tuple[int, int]]:
+    """The free pairs of a rescanned index whose coface size is maximal."""
+    if not index:
+        return []
+    top = max(c.bit_count() for c in index.values())
+    return sorted((t, c) for t, c in index.items() if c.bit_count() == top)
+
+
+@contextmanager
+def checked_moves():
+    """Check the index of every indexed workbench after each cell it inserts
+    or removes, so within every move too; yields a one-element list counting
+    the checked cells."""
+    count = [0]
+
+    def checked(step):
+        def run(self, m):
+            step(self, m)
+            if self.free is not None:
+                index = rescan_index(self)
+                assert self.free == index
+                assert self.free_pairs_at_max_dim() == top_pairs(index)
+                count[0] += 1
+
+        return run
+
+    with mock.patch.object(_Workbench, "_insert", checked(_Workbench._insert)), \
+            mock.patch.object(_Workbench, "_remove", checked(_Workbench._remove)):
+        yield count
+
+
+def test_rescan_oracle_on_small_cases():
+    triangle = _Workbench(SimplicialComplex.simplex(3))
+    assert top_pairs(rescan_index(triangle)) == [(0b011, 0b111), (0b101, 0b111), (0b110, 0b111)]
+    assert rescan_index(_Workbench(SimplicialComplex.simplex_boundary(3))) == {}
+    assert rescan_index(_Workbench(rp2())) == {}
+
+
+def test_index_matches_rescan_when_built():
+    rng = Random(31)
+    for _ in range(60):
+        wb = _Workbench(random_complex(rng, 7))
+        index = rescan_index(wb)
+        assert wb.free_index() == index
+        assert wb.free_pairs_at_max_dim() == top_pairs(index)
+
+
+def test_greedy_runs_on_random_complexes():
+    rng = Random(8)
+    with checked_moves() as count:
+        for seed in range(40):
+            X = random_complex(rng, 7)
+            if X.faces_of_dim(0):
+                _collapse_masks(_Workbench(X), seed, restarts=3, backtrack=False)
+    assert count[0] > 600
+
+
+def test_greedy_runs_on_witness_duals():
+    with checked_moves() as count:
+        for d in range(2, 7):
+            dual = alexander_dual(_construct_complex(10, d))
+            _collapse_masks(_Workbench(dual), d, restarts=1, backtrack=False)
+    assert count[0] > 2000
+
+
+def test_backtracking_collapses_and_expands():
+    rng = Random(12)
+    tried = 0
+    with checked_moves() as count:
+        while tried < 25:
+            X = random_complex(rng, 5)
+            if not X.faces_of_dim(0) or len(X.faces) > 26:
+                continue
+            tried += 1
+            wb = _Workbench(X)
+            wb.free_index()
+            before = (set(wb.faces), dict(wb.free))
+            _backtrack_collapse(wb, 2_000)
+            assert (wb.faces, wb.free) == before
+    assert count[0] > 200
+
+
+@st.composite
+def complexes(draw):
+    n = draw(st.integers(1, 6))
+    facets = draw(
+        st.lists(st.sets(st.integers(1, n), min_size=1), min_size=1, max_size=6)
+    )
+    return from_facets([tuple(sorted(f)) for f in facets], ground=range(1, n + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes(), st.integers(0, 1 << 30))
+def test_random_discrete_morse_removals(X, seed):
+    with checked_moves() as count:
+        vector, matching = random_discrete_morse(X, rng_seed=seed)
+    # a lone vertex is removed before any search builds the index
+    removed = 2 * len(matching) + sum(vector.counts)
+    assert count[0] == (0 if len(X.faces) == 2 else removed)
+
+
+def test_free_face_count_of_hypertree_report():
+    cases = [(kruskal_generate(7, 2, s), 2) for s in range(10)]
+    cases += [(kruskal_generate(8, 3, s), 3) for s in range(10)]
+    cases += [(rp2(), 2), (SimplicialComplex.simplex(4), 3)]
+    for X, d in cases:
+        assert is_hypertree(X, d).free_face_count == len(free_faces(X))
+
+
+# sha256 of theorem2_construct(10, d, rng_seed=1)[1].to_json() before the
+# search ran on the index; the index must not change a single draw.
+WITNESS_CERT_SHA256 = {
+    2: "a557030a7de3f3064a120e80cac2dbf7ef6dffd7b14bc9b508adb4e82a53d892",
+    3: "a6397c91fb2727db99491b24a08e6168a393ef2aca78bfb8bcd480f3138d4f0a",
+    4: "aebd28b473daa67df8df42d5b53ed777747f0ff825146df715943f0d9c799216",
+    5: "04080a1afa5fbadfdd1fbae818c52537acd67e03739bf56c93c39cd7d13a1c31",
+    6: "12f1cb45cf21e93d59b1cafef73d25670b6cccee8796e1d7786fee8ef43ace79",
+}
+
+
+def test_witness_certificates_pinned():
+    for d, expected in WITNESS_CERT_SHA256.items():
+        cert = theorem2_construct(10, d, rng_seed=1)[1]
+        assert hashlib.sha256(cert.to_json().encode()).hexdigest() == expected
+
+
+# (n, d, seed) -> Morse vector and sha256 of the sorted matching of
+# random_discrete_morse on the dual of the (n, d) witness, pinned likewise.
+MORSE_PINS = {
+    (9, 4, 0): ((1, 0, 0, 0, 0), "b798919c271c30619312bf27f720e04a698eb1573d221ce68e7d99d4e46d7698"),
+    (9, 4, 3): ((1, 0, 1, 1, 0), "b8220ab10e6ce92bca94909f145c6b6de5b7af724c511b4b07f85bc601f71910"),
+    (9, 2, 1): ((1, 0, 0, 0, 0, 0, 0), "fc44942e024f9350cb39f307e1f843f3ffbf1beeb40f5fc9020353602832da29"),
+    (10, 3, 2): ((1, 0, 0, 0, 0, 0, 0, 0), "f47b4b1a688331bbe9c2cbe89889e280e720198c084833fa5fa9229588688565"),
+}
+
+
+def test_random_discrete_morse_pinned():
+    for (n, d, seed), (counts, expected) in MORSE_PINS.items():
+        dual = alexander_dual(_construct_complex(n, d))
+        vector, matching = random_discrete_morse(dual, rng_seed=seed)
+        assert vector.counts == counts
+        assert hashlib.sha256(repr(sorted(matching.pairs)).encode()).hexdigest() == expected

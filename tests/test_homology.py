@@ -253,6 +253,13 @@ def test_is_acyclic_rejects_composite_characteristic():
         is_acyclic(from_facets([[1]]), 1)
 
 
+def test_field_betti_rejects_unknown_fields():
+    cycle = SimplicialComplex.simplex_boundary(3)
+    for field in ("R", "Z", "nonsense", 4):
+        with pytest.raises(InputError):
+            field_betti(cycle, 1, field)
+
+
 def test_field_betti_edge_dimensions():
     empty = SimplicialComplex.empty([1, 2, 3])
     assert field_betti(empty, -1) == 1

@@ -107,6 +107,23 @@ def test_spanning_torsion_matches_normal_form():
         assert spanning_torsion_order(X, 2) == torsion_order(X, 2)
 
 
+def test_spanning_torsion_matches_normal_form_on_survey_complexes():
+    # the product of the invariant factors of the reduced matrix is the
+    # order of the torsion group, for (8, 3) and (7, 2) survey complexes
+    for n, d in ((8, 3), (7, 2)):
+        for t in range(15):
+            X = kruskal_generate(n, d, _derive_seed(20250808, t))
+            assert spanning_torsion_order(X, d) == torsion_order(X, d)
+
+
+def test_spanning_torsion_of_a_singular_complex_is_zero():
+    # C(4, 2) = 6 triangles over the complete 1-skeleton on [5], four of
+    # them the boundary of [1234]: the reduced matrix is singular
+    triangles = list(combinations((1, 2, 3, 4), 3)) + [(1, 2, 5), (3, 4, 5)]
+    X = from_facets(triangles + list(combinations(range(1, 6), 2)))
+    assert spanning_torsion_order(X, 2) == 0
+
+
 def test_spanning_torsion_detects_projective_plane():
     # the 6-vertex projective plane has C(5,2) triangles over the complete
     # 1-skeleton, so both torsion computations apply and must give 2
