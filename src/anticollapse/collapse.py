@@ -144,40 +144,41 @@ class MorseVector:
 
 
 class _Workbench:
-    __slots__ = (
-        "labels", "bit_of", "label_of", "faces", "by_size", "deg", "all_bits", "free", "buckets"
-    )
+    __slots__ = ("labels", "bit_of", "faces", "by_size", "deg", "all_bits", "free", "buckets")
 
     def __init__(self, X: SimplicialComplex):
         self.labels: tuple[int, ...] = tuple(sorted(X.ground_set))
         self.bit_of = {v: 1 << i for i, v in enumerate(self.labels)}
-        self.label_of = {b: v for v, b in self.bit_of.items()}
         self.all_bits = (1 << len(self.labels)) - 1
-        bit = self.bit_of.__getitem__  # faces of X lie in its ground set
-        self.faces: set[int] = {sum(map(bit, f)) for f in X.faces if f}
+        self.faces: set[int] = set()
         self.by_size: dict[int, set[int]] = {}
-        self.deg: dict[int, int] = dict.fromkeys(self.faces, 0)
+        self.deg: dict[int, int] = {}
         self.free: Optional[dict[int, int]] = None  # free face -> coface
         self.buckets: dict[int, list[int]] = {}  # coface size -> sorted free faces
+        for f in X.faces:
+            if f:
+                self.faces.add(self.mask(f))
         for m in self.faces:
             self.by_size.setdefault(m.bit_count(), set()).add(m)
-            rest = m if m & (m - 1) else 0  # vertices have no nonempty facet
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                self.deg[m ^ b] += 1
+            self.deg.setdefault(m, 0)
+        for m in self.faces:
+            k = m.bit_count()
+            if k >= 2:
+                rest = m
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    self.deg[m ^ b] += 1
 
-    def copy(self, indexed: bool = True) -> "_Workbench":
-        """An independent workbench in the same state; the index is copied
-        when there is one and indexed is True."""
+    def copy(self) -> "_Workbench":
+        """An independent workbench in the same state, index included."""
         new = _Workbench.__new__(_Workbench)
-        new.labels, new.bit_of, new.label_of = self.labels, self.bit_of, self.label_of
-        new.all_bits = self.all_bits
+        new.labels, new.bit_of, new.all_bits = self.labels, self.bit_of, self.all_bits
         new.faces = set(self.faces)
         new.by_size = {k: set(fs) for k, fs in self.by_size.items()}
         new.deg = dict(self.deg)
         new.free, new.buckets = None, {}
-        if indexed and self.free is not None:
+        if self.free is not None:
             new.free = dict(self.free)
             new.buckets = {k: ts[:] for k, ts in self.buckets.items()}
         return new
@@ -192,12 +193,7 @@ class _Workbench:
         return m
 
     def face(self, mask: int) -> Face:
-        out = []
-        while mask:
-            b = mask & -mask
-            out.append(self.label_of[b])
-            mask ^= b
-        return tuple(out)
+        return tuple(v for v in self.labels if self.bit_of[v] & mask)
 
     def max_size(self) -> int:
         sizes = [s for s, fs in self.by_size.items() if fs]

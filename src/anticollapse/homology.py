@@ -300,7 +300,6 @@ def field_betti(X: SimplicialComplex, i: int, field: int | str = "Q") -> int:
 
 def _field_rank(X: SimplicialComplex, k: int, field: int | str) -> int:
     """Rank of the k-th boundary map over Q or the prime field."""
-    _check_ring(field)
     if k > X.dim or k < 0:
         return 0
     cols = _matrix_columns(boundary_matrix(X, k))

@@ -185,7 +185,7 @@ def is_hypertree(
         torsion = _finite_order(profile, d - 1) if q_acyclic else 0
 
     wb = _Workbench(X)
-    d_collapsible = _core_erosion(wb.copy(indexed=False), d)
+    d_collapsible = _core_erosion(wb.copy(), d)
     if not d_collapsible:
         collapsible = REFUTED
     else:
@@ -194,7 +194,7 @@ def is_hypertree(
 
     dual = alexander_dual(X)
     dual_wb = _Workbench(dual)
-    if dual.dim >= 1 and not _core_erosion(dual_wb.copy(indexed=False), dual.dim):
+    if dual.dim >= 1 and not _core_erosion(dual_wb.copy(), dual.dim):
         anticollapsible = REFUTED
     else:
         found = _dual_collapse(X, dual_wb, _derive_seed(rng_seed, 1), restarts, backtrack=False)
