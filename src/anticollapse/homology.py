@@ -1,12 +1,15 @@
 """Reduced simplicial homology with exact integer arithmetic.
 
-Boundary matrices are built over canonically ordered faces; the chain group
-in degree -1 is the coefficient ring itself, realized by the empty-face row
-of the degree-0 boundary matrix, so every computation here is reduced.
+Boundary maps are sparse columns over canonically ordered faces; the chain
+group in degree -1 is the coefficient ring itself, realized by the
+empty-face row of the degree-0 boundary map, so every computation here is
+reduced.
 
-All elimination is done on Python integers (arbitrary precision, so there is
-no overflow to detect) with smallest-absolute-value pivoting to limit
-coefficient growth.
+Every question over Z, Q and GF(p) is answered from the integer normal form
+of the boundary maps: columns are reduced against unit pivots, which give
+invariant factors 1, and smallest-absolute-value Smith elimination runs only
+on the columns left over; ranks over Q and GF(p) are read off the factors.
+Arithmetic is on Python integers, so there is no overflow to detect.
 """
 from __future__ import annotations
 
@@ -30,9 +33,6 @@ class BoundaryMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
 
-    def column(self, j: int) -> dict[int, int]:
-        return {i: row[j] for i, row in enumerate(self.entries) if row[j]}
-
     def dense(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
@@ -46,8 +46,15 @@ def boundary_column(face: Face, row_index: dict[Face, int]) -> dict[int, int]:
     return col
 
 
+def _boundary_columns(X: SimplicialComplex, i: int) -> list[dict[int, int]]:
+    """Sparse columns of the i-th boundary map, rows and columns over the
+    (i-1)- and i-faces in sorted order."""
+    row_index = {f: k for k, f in enumerate(sorted(X.faces_of_dim(i - 1)))}
+    return [boundary_column(face, row_index) for face in sorted(X.faces_of_dim(i))]
+
+
 def boundary_matrix(X: SimplicialComplex, i: int) -> BoundaryMatrix:
-    """The boundary map from i-chains to (i-1)-chains.
+    """The boundary map from i-chains to (i-1)-chains, as a dense view.
 
     For i = 0 the single row is the empty face, which is exactly the
     augmentation map, so kernels and images are those of the reduced complex.
@@ -56,10 +63,9 @@ def boundary_matrix(X: SimplicialComplex, i: int) -> BoundaryMatrix:
         raise InputError("boundary maps are indexed by i >= 0")
     rows = tuple(sorted(X.faces_of_dim(i - 1)))
     cols = tuple(sorted(X.faces_of_dim(i)))
-    row_index = {f: k for k, f in enumerate(rows)}
     dense = [[0] * len(cols) for _ in rows]
-    for j, face in enumerate(cols):
-        for r, sign in boundary_column(face, row_index).items():
+    for j, col in enumerate(_boundary_columns(X, i)):
+        for r, sign in col.items():
             dense[r][j] = sign
     return BoundaryMatrix(rows, cols, tuple(tuple(r) for r in dense))
 
@@ -85,7 +91,8 @@ class IncrementalRank:
     Keeps an integer echelon basis with primitive columns (content 1), each
     pivoting on its minimal nonzero row.  Adding a column reports whether it
     was independent of the basis; dependent columns are discarded.  The state
-    is single-owner mutable.
+    is single-owner mutable.  It serves the online independence tests; batch
+    questions go through smith_invariant_factors.
     """
 
     def __init__(self) -> None:
@@ -121,52 +128,49 @@ class IncrementalRank:
         return True
 
 
-def rank_q(columns: list[dict[int, int]]) -> int:
-    """Rank over Q of a sparse integer column family."""
-    state = IncrementalRank()
-    for col in columns:
-        state.add(col)
-    return state.rank
+def _subtract(work: dict[int, int], pivot: dict[int, int], r: int) -> None:
+    """Clear row r of work with a pivot whose entry there is +-1."""
+    c = work[r] * pivot[r]
+    for row, v in pivot.items():
+        val = work.get(row, 0) - c * v
+        if val:
+            work[row] = val
+        else:
+            del work[row]
 
 
-def rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
-    """Rank of the columns over the field with p elements."""
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for col in columns:
-        work = {r: v % p for r, v in col.items() if v % p}
-        while work:
-            r = min(work)
-            pivot = pivots.get(r)
-            if pivot is None:
-                inv = pow(work[r], -1, p)
-                pivots[r] = {row: (v * inv) % p for row, v in work.items()}
-                rank += 1
-                break
-            c = work[r]
-            for row, v in pivot.items():
-                val = (work.get(row, 0) - c * v) % p
-                if val:
-                    work[row] = val
-                elif row in work:
-                    del work[row]
-        # an emptied column is dependent
-    return rank
-
-
-def _matrix_columns(mat: BoundaryMatrix) -> list[dict[int, int]]:
-    return [mat.column(j) for j in range(len(mat.cols))]
-
-
-def smith_invariant_factors(dense: list[list[int]]) -> list[int]:
+def smith_invariant_factors(columns: list[dict[int, int]]) -> list[int]:
     """Nonzero diagonal of the integer normal form, in divisibility order.
 
-    Smallest-absolute-value pivoting; row and column operations only, so the
-    multiset of invariant factors is exact.
+    The matrix is given by its sparse columns (row index -> entry).  They
+    are reduced left to right against unit pivots: a column whose least
+    remaining entry is +-1 becomes the pivot of that row, any other nonzero
+    column is set aside.  Ordered by row, the pivots form a lower triangular
+    block with a +-1 diagonal, which is unimodular and contributes factors 1.
+    The set-aside columns are then cleared on every pivot row, in increasing
+    row order, and a smallest-absolute-value Smith loop runs on what is left
+    (tiny or empty for boundary maps).  Only unimodular row and column
+    operations are used, so the factors are exact.
     """
-    mat = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
-    if not mat:
-        return []
+    pivots: dict[int, dict[int, int]] = {}
+    rest: list[dict[int, int]] = []
+    for col in columns:
+        work = {r: v for r, v in col.items() if v}
+        while work:
+            r = min(work)
+            if r not in pivots:
+                if work[r] in (1, -1):
+                    pivots[r] = work
+                else:
+                    rest.append(work)
+                break
+            _subtract(work, pivots[r], r)
+    order = sorted(pivots)
+    for work in rest:
+        for r in order:
+            if r in work:
+                _subtract(work, pivots[r], r)
+    mat = {(i, j): v for j, work in enumerate(rest) for i, v in work.items()}
     rows_of: dict[int, set[int]] = {}
     cols_of: dict[int, set[int]] = {}
     for (i, j) in mat:
@@ -234,7 +238,12 @@ def smith_invariant_factors(dense: list[list[int]]) -> list[int]:
                     g = gcd(a, b)
                     diagonal[i], diagonal[j] = g, a // g * b
                     changed = True
-    return sorted(diagonal)
+    return [1] * len(pivots) + sorted(diagonal)
+
+
+def _boundary_factors(X: SimplicialComplex) -> list[list[int]]:
+    """Invariant factors of the boundary maps in degrees 0..dim."""
+    return [smith_invariant_factors(_boundary_columns(X, i)) for i in range(X.dim + 1)]
 
 
 @dataclass(frozen=True)
@@ -260,26 +269,42 @@ class HomologyProfile:
 
 def homology(X: SimplicialComplex) -> HomologyProfile:
     """Reduced homology in every dimension from integer normal forms."""
-    top = X.dim
-    if top < 0:
+    if X.dim < 0:
         return HomologyProfile((), ())
-    factors: dict[int, list[int]] = {}
-    ranks: dict[int, int] = {}
-    for i in range(top + 2):
-        if i > top:
-            ranks[i] = 0
-            factors[i] = []
-            continue
-        mat = boundary_matrix(X, i)
-        inv = smith_invariant_factors(mat.dense())
-        ranks[i] = len(inv)
-        factors[i] = inv
-    betti = []
-    torsion = []
-    for i in range(top + 1):
-        betti.append(X.n_faces(i) - ranks[i] - ranks[i + 1])
-        torsion.append(tuple(sorted(t for t in factors[i + 1] if t > 1)))
+    factors = _boundary_factors(X) + [[]]
+    dims = range(X.dim + 1)
+    betti = (X.n_faces(i) - len(factors[i]) - len(factors[i + 1]) for i in dims)
+    torsion = (tuple(t for t in factors[i + 1] if t > 1) for i in dims)
     return HomologyProfile(tuple(betti), tuple(torsion))
+
+
+def _unit_count(factors: list[int], ring: int | str) -> int:
+    """How many invariant factors are units of the ring.
+
+    Over Q and GF(p) this is the rank of the map: its normal form is
+    D = UAV with U and V unimodular, so invertible mod p as well.  Over Z
+    only the factors 1 count.
+    """
+    if ring == "Q":
+        return len(factors)
+    if ring == "Z":
+        return factors.count(1)
+    return sum(1 for t in factors if t % ring)
+
+
+def _betti_numbers(X: SimplicialComplex, ring: int | str) -> dict[int, int]:
+    """n_i - r_i - r_(i+1) for i = -1..dim, with n_i the number of i-faces and
+    r_i the unit invariant factors of the i-th boundary map (none if void).
+
+    Over Q or GF(p) these are the reduced Betti numbers.  Over Z all vanish
+    exactly when X is Z-acyclic: r_i is at most the rational rank, and the
+    rational ranks of d_i and d_(i+1) sum to at most n_i, so equality
+    everywhere forces every factor to be 1 and every Betti number to be 0.
+    """
+    if not X.faces:
+        return {}
+    ranks = [0] + [_unit_count(f, ring) for f in _boundary_factors(X)] + [0]
+    return {i: X.n_faces(i) - ranks[i + 1] - ranks[i + 2] for i in range(-1, X.dim + 1)}
 
 
 def field_betti(X: SimplicialComplex, i: int, field: int | str = "Q") -> int:
@@ -289,23 +314,7 @@ def field_betti(X: SimplicialComplex, i: int, field: int | str = "Q") -> int:
     outside the dimension range, so it can be used on duals uniformly.
     """
     _check_ring(field)
-    if not X.faces:
-        return 0
-    if i < -1 or i > X.dim:
-        return 0
-    if i == -1:
-        return 1 - _field_rank(X, 0, field)
-    return X.n_faces(i) - _field_rank(X, i, field) - _field_rank(X, i + 1, field)
-
-
-def _field_rank(X: SimplicialComplex, k: int, field: int | str) -> int:
-    """Rank of the k-th boundary map over Q or the prime field."""
-    if k > X.dim or k < 0:
-        return 0
-    cols = _matrix_columns(boundary_matrix(X, k))
-    if isinstance(field, int):
-        return rank_mod_p(cols, field)
-    return rank_q(cols)
+    return _betti_numbers(X, field).get(i, 0)
 
 
 def _check_ring(ring: int | str, integers: bool = False) -> None:
@@ -330,17 +339,14 @@ def _check_prime(p: int) -> None:
 def is_acyclic(X: SimplicialComplex, ring: int | str = "Z") -> bool:
     """True iff all reduced homology vanishes over the ring.
 
-    ring is "Z", "Q", or a prime p for the field with p elements.  Over a
-    field only boundary ranks are needed, each computed once.
+    ring is "Z", "Q", or a prime p for the field with p elements; all four
+    are read off the same invariant factors.  The void and the empty
+    complex are not acyclic.
     """
     _check_ring(ring, integers=True)
-    if not X.faces or X.dim < 0:
+    if X.dim < 0:
         return False
-    if ring == "Z":
-        return homology(X).is_trivial()
-    top = X.dim
-    ranks = [_field_rank(X, k, ring) for k in range(top + 1)] + [0]
-    return all(X.n_faces(i) == ranks[i] + ranks[i + 1] for i in range(top + 1))
+    return not any(_betti_numbers(X, ring).values())
 
 
 def adds_top_cycle(X: SimplicialComplex, sigma: Face) -> bool:

@@ -79,28 +79,26 @@ def spanning_torsion_order(X: SimplicialComplex, d: int) -> int:
     """|H_(d-1)| of a spanning complex with complete (d-1)-skeleton.
 
     Uses the reduced top boundary matrix with rows restricted to the
-    (d-1)-faces avoiding the largest vertex; for such complexes the absolute
-    determinant equals the order of the torsion group (the d = 1 case is the
-    classical reduced incidence matrix of a spanning tree).  The determinant
-    is the product of the invariant factors, and 0 when there are fewer
-    factors than columns.
+    (d-1)-faces avoiding the largest vertex of the ground set, which may be
+    any set of labels; for such complexes the absolute determinant equals
+    the order of the torsion group (the d = 1 case is the classical reduced
+    incidence matrix of a spanning tree).  The determinant is the product of
+    the invariant factors, and 0 when there are fewer factors than columns.
     """
-    n = len(X.ground_set)
-    if X.ground_set != frozenset(range(1, n + 1)):
-        raise InputError("spanning torsion shortcut needs ground set {1..n}")
+    ground = sorted(X.ground_set)
     top = sorted(X.faces_of_dim(d))
-    if len(top) != comb(n - 1, d):
+    if len(top) != comb(len(ground) - 1, d):
         raise InputError("spanning torsion shortcut needs exactly C(n-1, d) top faces")
-    rows = [f for f in combinations(range(1, n + 1), d) if n not in f]
-    row_index = {f: i for i, f in enumerate(rows)}
-    dense = [[0] * len(top) for _ in rows]
-    for j, face in enumerate(top):
+    row_index = {f: i for i, f in enumerate(combinations(ground[:-1], d))}
+    columns = []
+    for face in top:
+        col = {}
         for k in range(len(face)):
-            sub = face[:k] + face[k + 1 :]
-            i = row_index.get(sub)
+            i = row_index.get(face[:k] + face[k + 1 :])
             if i is not None:
-                dense[i][j] = -1 if k % 2 else 1
-    factors = smith_invariant_factors(dense)
+                col[i] = -1 if k % 2 else 1
+        columns.append(col)
+    factors = smith_invariant_factors(columns)
     return prod(factors) if len(factors) == len(top) else 0
 
 
@@ -171,14 +169,11 @@ def is_hypertree(
 
     if _has_complete_lower_skeleton(X, d) and facet_count == comb(n - 1, d):
         # complete lower skeleton: the boundary maps below d have the ranks
-        # of the full simplex, C(n-1, k), so only the top rank can fail
-        rows = sorted(X.faces_of_dim(d - 1))
-        row_index = {f: i for i, f in enumerate(rows)}
-        state = IncrementalRank()
-        for face in sorted(X.faces_of_dim(d)):
-            state.add(boundary_column(face, row_index))
-        q_acyclic = state.rank == facet_count
-        torsion = spanning_torsion_order(X, d) if q_acyclic else 0
+        # of the full simplex, C(n-1, k), so only the top rank can fail.  The
+        # only cycle on the faces through the largest vertex is 0, so the
+        # square matrix on the other rows has the kernel of the full one.
+        torsion = spanning_torsion_order(X, d)
+        q_acyclic = torsion != 0
     else:
         profile = homology(X)
         q_acyclic = not any(profile.betti)
@@ -225,26 +220,14 @@ def kalai_check(n: int, d: int) -> tuple[int, int, bool]:
             f"exhaustive enumeration guard: C({n},{d + 1}) = {total_candidates} > 25"
         )
     target = comb(n - 1, d)
-    rows = sorted(combinations(range(1, n + 1), d))
-    row_index = {f: i for i, f in enumerate(rows)}
+    row_index = {f: i for i, f in enumerate(combinations(range(1, n + 1), d))}
     all_faces = complete_skeleton(n, d)
     columns = {f: boundary_column(f, row_index) for f in all_faces}
     weighted_sum = 0
     for subset in combinations(all_faces, target):
-        state = IncrementalRank()
-        ok = True
-        for f in subset:
-            if not state.add(columns[f]):
-                ok = False
-                break
-        if not ok:
-            continue
-        dense = [[0] * target for _ in rows]
-        for j, f in enumerate(subset):
-            for i, v in columns[f].items():
-                dense[i][j] = v
-        order = prod(smith_invariant_factors(dense))
-        weighted_sum += order * order
+        factors = smith_invariant_factors([columns[f] for f in subset])
+        if len(factors) == target:  # full rank: rationally acyclic
+            weighted_sum += prod(factors) ** 2
     expected = n ** comb(n - 2, d)
     return weighted_sum, expected, weighted_sum == expected
 

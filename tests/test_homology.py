@@ -1,25 +1,31 @@
 """Boundary maps, integer normal form, and homology oracles."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anticollapse.complexes import SimplicialComplex, connected_components, from_facets
 from anticollapse.errors import InputError
 from anticollapse.homology import (
     HomologyProfile,
     IncrementalRank,
+    _boundary_columns,
+    _unit_count,
     adds_top_cycle,
     boundary_matrix,
     field_betti,
     homology,
     is_acyclic,
-    rank_mod_p,
-    rank_q,
     smith_invariant_factors,
 )
+from anticollapse.hypertrees import kruskal_generate
 
 from conftest import random_complex, rp2
 
@@ -47,8 +53,30 @@ def fraction_rank(dense: list[list[int]]) -> int:
     return rank
 
 
-def dense_columns(mat):
-    return [mat.column(j) for j in range(len(mat.cols))]
+def modp_rank(dense: list[list[int]], p: int) -> int:
+    """Textbook Gaussian elimination over GF(p), used as an independent
+    oracle for the field ranks read off the invariant factors."""
+    rows = [[v % p for v in row] for row in dense]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [(a - c * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def columns_of(dense: list[list[int]]) -> list[dict[int, int]]:
+    """Sparse columns (row index -> entry) of a dense row-major matrix."""
+    n_cols = len(dense[0]) if dense else 0
+    return [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(n_cols)]
 
 
 def test_boundary_of_single_edge_signs():
@@ -90,7 +118,8 @@ def test_sphere_boundary_matrix_rank():
     mat = boundary_matrix(X, 2)
     assert mat.shape == (6, 4)
     assert fraction_rank(mat.dense()) == 3
-    assert rank_q(dense_columns(mat)) == 3
+    assert columns_of(mat.dense()) == _boundary_columns(X, 2)
+    assert len(smith_invariant_factors(_boundary_columns(X, 2))) == 3
 
 
 def test_rank_matches_fraction_oracle_on_random_matrices():
@@ -101,20 +130,20 @@ def test_rank_matches_fraction_oracle_on_random_matrices():
         dense = [
             [rng.randint(-4, 4) for _ in range(n_cols)] for _ in range(n_rows)
         ]
-        cols = [
-            {i: dense[i][j] for i in range(n_rows) if dense[i][j]}
-            for j in range(n_cols)
-        ]
-        assert rank_q(cols) == fraction_rank(dense)
-        rank_from_snf = len(smith_invariant_factors(dense))
-        assert rank_from_snf == fraction_rank(dense)
+        factors = smith_invariant_factors(columns_of(dense))
+        assert _unit_count(factors, "Q") == len(factors) == fraction_rank(dense)
+        for p in (2, 3):
+            assert _unit_count(factors, p) == modp_rank(dense, p)
 
 
 def test_smith_invariant_factors_known():
-    assert smith_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_invariant_factors([[2, 0], [0, 4]]) == [2, 4]
-    assert smith_invariant_factors([[0, 0], [0, 0]]) == []
-    assert smith_invariant_factors([[6]]) == [6]
+    assert smith_invariant_factors(columns_of([[2, 0], [0, 3]])) == [1, 6]
+    assert smith_invariant_factors(columns_of([[2, 0], [0, 4]])) == [2, 4]
+    assert smith_invariant_factors(columns_of([[0, 0], [0, 0]])) == []
+    assert smith_invariant_factors(columns_of([[6]])) == [6]
+    assert smith_invariant_factors([]) == []
+    # a unit pivot next to a set-aside column: [[1, 2], [1, 4]] ~ diag(1, 2)
+    assert smith_invariant_factors(columns_of([[1, 2], [1, 4]])) == [1, 2]
 
 
 def _random_unimodular(rng: Random, n: int) -> list[list[int]]:
@@ -170,13 +199,64 @@ def test_smith_invariants_stable_under_unimodular_conjugation():
         left = _random_unimodular(rng, n)
         right = _random_unimodular(rng, m)
         product = _matmul(_matmul(left, diag), right)
-        assert smith_invariant_factors(product) == _divisibility_chain(values)
+        assert smith_invariant_factors(columns_of(product)) == _divisibility_chain(values)
 
 
 def test_rank_mod_p():
     # the matrix [[2]] has rank 1 over Q but rank 0 over Z/2
-    assert rank_mod_p([{0: 2}], 2) == 0
-    assert rank_mod_p([{0: 2}], 3) == 1
+    factors = smith_invariant_factors([{0: 2}])
+    assert _unit_count(factors, 2) == modp_rank([[2]], 2) == 0
+    assert _unit_count(factors, 3) == modp_rank([[2]], 3) == 1
+    # the top boundary of the projective plane loses one rank mod 2 only
+    dense = boundary_matrix(rp2(), 2).dense()
+    factors = smith_invariant_factors(columns_of(dense))
+    for p in (2, 3, 5):
+        assert _unit_count(factors, p) == modp_rank(dense, p)
+    assert _unit_count(factors, 2) == _unit_count(factors, 3) - 1
+
+
+def _det(m: list[list[int]]) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def _minor_gcd(dense: list[list[int]], k: int) -> int:
+    """gcd of all k-by-k minors."""
+    g = 0
+    for rows in combinations(range(len(dense)), k):
+        for cols in combinations(range(len(dense[0])), k):
+            g = gcd(g, _det([[dense[i][j] for j in cols] for i in rows]))
+    return g
+
+
+small_matrices = st.integers(1, 4).flatmap(
+    lambda n_rows: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n_rows, max_size=n_rows),
+        min_size=1,
+        max_size=4,
+    )
+).map(lambda cols: [list(row) for row in zip(*cols)])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_matrices)
+def test_smith_invariant_factors_properties(dense):
+    factors = smith_invariant_factors(columns_of(dense))
+    assert all(t > 0 for t in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    # determinantal divisors: the first k factors multiply to the gcd of
+    # the k-by-k minors, which is 0 beyond the rank
+    for k in range(1, min(len(dense), len(dense[0])) + 1):
+        assert _minor_gcd(dense, k) == (prod(factors[:k]) if k <= len(factors) else 0)
+    assert _unit_count(factors, "Q") == fraction_rank(dense)
+    for p in (2, 3, 5):
+        assert _unit_count(factors, p) == modp_rank(dense, p)
 
 
 def test_homology_of_spheres():
@@ -308,3 +388,37 @@ def test_incremental_rank_matches_batch():
 def test_homology_profile_str():
     text = str(HomologyProfile((0, 1), ((), (2,))))
     assert "dim 1: betti=1 torsion=[2]" in text
+
+
+def _pinned_complexes():
+    rng = Random(0x5EED)
+    complexes = [random_complex(rng) for _ in range(40)] + [rp2()]
+    return complexes + [kruskal_generate(8, 3, seed) for seed in range(15)]
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# sha256 of homology and field Betti vectors on fixed complexes, taken
+# before the elimination engine was rewritten: outputs must never change
+HOMOLOGY_SHA256 = "d0542ee5d183dcdc887bf512ee37fd615db50bcf3a20e2a07898766e4a3153d8"
+BETTI_SHA256 = {
+    "Q": "a77a69c0274ffb08f2d1b86e35b1e4a2dd128116ded96314b582b08313ec8ff5",
+    2: "c057b30d77e6c4a14c6f78ac49f37265000a632efd40e46f1690ce524e0628be",
+    3: "a77a69c0274ffb08f2d1b86e35b1e4a2dd128116ded96314b582b08313ec8ff5",
+}
+
+
+def test_homology_is_pinned():
+    lines = (str(homology(X)) for X in _pinned_complexes())
+    assert _sha256(lines) == HOMOLOGY_SHA256
+
+
+@pytest.mark.parametrize("field", ["Q", 2, 3])
+def test_field_betti_is_pinned(field):
+    lines = (
+        str([field_betti(X, i, field) for i in range(-1, X.dim + 1)])
+        for X in _pinned_complexes()
+    )
+    assert _sha256(lines) == BETTI_SHA256[field]

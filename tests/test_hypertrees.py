@@ -1,6 +1,7 @@
 """Random spanning-complex generation, verification, and enumeration checks."""
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 from random import Random
@@ -10,7 +11,12 @@ import hashlib
 import pytest
 
 from anticollapse.collapse import search_collapse
-from anticollapse.complexes import SimplicialComplex, connected_components, from_facets
+from anticollapse.complexes import (
+    SimplicialComplex,
+    connected_components,
+    from_facets,
+    relabeled,
+)
 from anticollapse.duality import is_anticollapsible
 from anticollapse.errors import InputError, SizeError
 from anticollapse.homology import (
@@ -122,6 +128,17 @@ def test_spanning_torsion_of_a_singular_complex_is_zero():
     triangles = list(combinations((1, 2, 3, 4), 3)) + [(1, 2, 5), (3, 4, 5)]
     X = from_facets(triangles + list(combinations(range(1, 6), 2)))
     assert spanning_torsion_order(X, 2) == 0
+
+
+def test_report_does_not_depend_on_vertex_labels():
+    # a hypertree on {4..10} takes the spanning path with the largest label
+    # as its removed vertex and is classified exactly as its copy on {1..7}
+    for seed in range(30):
+        X = kruskal_generate(7, 2, seed)
+        Y = relabeled(X, {v: v + 3 for v in X.ground_set})
+        assert spanning_torsion_order(Y, 2) == spanning_torsion_order(X, 2)
+        report = is_hypertree(Y, 2, rng_seed=seed, restarts=8)
+        assert report == replace(is_hypertree(X, 2, rng_seed=seed, restarts=8), complex=Y)
 
 
 def test_spanning_torsion_detects_projective_plane():
