@@ -14,11 +14,13 @@ bookkeeping under duality.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from itertools import permutations
 from random import Random
-from typing import Iterable, Optional
+from typing import Optional
 
 from .complexes import (
     EMPTY_FACE,
@@ -83,6 +85,9 @@ class Certificate:
             )
             if [[list(s.free), list(s.coface)] for s in steps] != payload["steps"]:
                 raise InputError("vertex lists must be sorted integers without repeats")
+            for key in ("start", "end"):
+                if not isinstance(payload[key], str) or not re.fullmatch("[0-9a-f]{64}", payload[key]):
+                    raise InputError(f"{key} digest must be 64 lowercase hex digits")
             return Certificate(kind, steps, payload["start"], payload["end"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed certificate: {exc}") from exc
@@ -129,8 +134,8 @@ class MorseVector:
 
 # -- mask workbench ----------------------------------------------------
 #
-# Engines below run on integer bitmasks over the sorted ground set.  Only
-# nonempty faces are cells; the empty face never enters the workbench.
+# Engines below run on the face bitmasks of the complex they start from.
+# Only nonempty faces are cells; the empty face never enters the workbench.
 #
 # Searches keep a free-pair index: each free face maps to its unique coface,
 # and the free faces are bucketed by coface size.  In a closed family a face
@@ -144,26 +149,19 @@ class MorseVector:
 
 
 class _Workbench:
-    __slots__ = ("labels", "bit_of", "faces", "by_size", "deg", "all_bits", "free", "buckets")
+    __slots__ = ("base", "faces", "by_size", "deg", "all_bits", "free", "buckets")
 
     def __init__(self, X: SimplicialComplex):
-        self.labels: tuple[int, ...] = tuple(sorted(X.ground_set))
-        self.bit_of = {v: 1 << i for i, v in enumerate(self.labels)}
-        self.all_bits = (1 << len(self.labels)) - 1
-        self.faces: set[int] = set()
-        self.by_size: dict[int, set[int]] = {}
-        self.deg: dict[int, int] = {}
+        self.base = X  # fixes the ground set and names faces in messages
+        self.all_bits = (1 << len(X.ground_set)) - 1
+        self.faces: set[int] = set(X._masks)
+        self.faces.discard(0)
+        self.by_size = {k: set(ms) for k, ms in X._by_size.items() if k}
+        self.deg: dict[int, int] = dict.fromkeys(self.faces, 0)
         self.free: Optional[dict[int, int]] = None  # free face -> coface
         self.buckets: dict[int, list[int]] = {}  # coface size -> sorted free faces
-        for f in X.faces:
-            if f:
-                self.faces.add(self.mask(f))
         for m in self.faces:
-            self.by_size.setdefault(m.bit_count(), set()).add(m)
-            self.deg.setdefault(m, 0)
-        for m in self.faces:
-            k = m.bit_count()
-            if k >= 2:
+            if m & (m - 1):
                 rest = m
                 while rest:
                     b = rest & -rest
@@ -173,7 +171,7 @@ class _Workbench:
     def copy(self) -> "_Workbench":
         """An independent workbench in the same state, index included."""
         new = _Workbench.__new__(_Workbench)
-        new.labels, new.bit_of, new.all_bits = self.labels, self.bit_of, self.all_bits
+        new.base, new.all_bits = self.base, self.all_bits
         new.faces = set(self.faces)
         new.by_size = {k: set(fs) for k, fs in self.by_size.items()}
         new.deg = dict(self.deg)
@@ -182,18 +180,6 @@ class _Workbench:
             new.free = dict(self.free)
             new.buckets = {k: ts[:] for k, ts in self.buckets.items()}
         return new
-
-    def mask(self, face: Face) -> int:
-        m = 0
-        for v in face:
-            b = self.bit_of.get(v)
-            if b is None:
-                raise InputError(f"vertex {v} is outside the ground set")
-            m |= b
-        return m
-
-    def face(self, mask: int) -> Face:
-        return tuple(v for v in self.labels if self.bit_of[v] & mask)
 
     def max_size(self) -> int:
         sizes = [s for s, fs in self.by_size.items() if fs]
@@ -235,7 +221,7 @@ class _Workbench:
             rest ^= b
             if (m | b) in self.faces:
                 return m | b
-        raise StepError(f"face {self.face(m)} has no coface")
+        raise StepError(f"face {self.base.face_of(m)} has no coface")
 
     # the free-pair index
 
@@ -283,15 +269,14 @@ class _Workbench:
     def is_single_vertex(self) -> bool:
         return len(self.faces) == 1 and next(iter(self.faces)).bit_count() == 1
 
-    def to_complex(self, ground: Iterable[int]) -> SimplicialComplex:
-        faces = {self.face(m) for m in self.faces}
-        if faces:
-            faces.add(EMPTY_FACE)
-        return SimplicialComplex(ground, faces, _checked=True)
+    def to_complex(self) -> SimplicialComplex:
+        masks = (self.faces | {0}) if self.faces else ()
+        return SimplicialComplex._from_masks(self.base.ground_set, masks)
 
     # step validation shared by apply_step and replay
 
     def check_collapse(self, t: int, c: int, allow_trivial: bool) -> None:
+        face = self.base.face_of
         if t == 0:
             if not allow_trivial:
                 raise StepError("the empty face may only collapse with the trivial flag")
@@ -299,19 +284,20 @@ class _Workbench:
                 raise StepError("trivial collapse needs a single-vertex complex")
             return
         if t not in self.faces:
-            raise StepError(f"free face {self.face(t)} is not in the complex")
+            raise StepError(f"free face {face(t)} is not in the complex")
         if c not in self.faces:
-            raise StepError(f"coface {self.face(c)} is not in the complex")
+            raise StepError(f"coface {face(c)} is not in the complex")
         if self.deg.get(t, 0) != 1 or self.unique_coface(t) != c:
-            raise StepError(f"{self.face(t)} is not free with coface {self.face(c)}")
+            raise StepError(f"{face(t)} is not free with coface {face(c)}")
         if self.deg.get(c, 0) != 0:
-            raise StepError(f"{self.face(c)} is not a facet")
+            raise StepError(f"{face(c)} is not a facet")
 
     def check_expand(self, t: int, c: int, allow_trivial: bool) -> None:
+        face = self.base.face_of
         if t in self.faces or (t == 0 and self.faces):
-            raise StepError(f"added face {self.face(t)} is already present")
+            raise StepError(f"added face {face(t)} is already present")
         if c in self.faces:
-            raise StepError(f"added coface {self.face(c)} is already present")
+            raise StepError(f"added coface {face(c)} is already present")
         if t == 0:
             if not allow_trivial:
                 raise StepError("the empty face may only expand with the trivial flag")
@@ -325,7 +311,7 @@ class _Workbench:
             facet = c ^ b
             if facet != t and facet not in self.faces:
                 raise StepError(
-                    f"facet {self.face(facet)} of {self.face(c)} is missing; "
+                    f"facet {face(facet)} of {face(c)} is missing; "
                     "only the added free face may be absent"
                 )
 
@@ -355,11 +341,10 @@ def free_faces(X: SimplicialComplex, allow_trivial: bool = False) -> list[StepPa
     vertex yields the pair (empty face, vertex).
     """
     wb = _Workbench(X)
-    tr = wb.face
-    pairs = [StepPair(tr(t), tr(c), COLLAPSE) for t, c in sorted(wb.free_index().items())]
+    face = X.face_of
+    pairs = [StepPair(face(t), face(c), COLLAPSE) for t, c in sorted(wb.free_index().items())]
     if allow_trivial and wb.is_single_vertex():
-        only = next(iter(wb.faces))
-        pairs.append(StepPair(EMPTY_FACE, wb.face(only), COLLAPSE))
+        pairs.append(StepPair(EMPTY_FACE, face(next(iter(wb.faces))), COLLAPSE))
     return pairs
 
 
@@ -368,9 +353,8 @@ def apply_step(
 ) -> SimplicialComplex:
     """Apply one validated elementary move; the ground set never changes."""
     wb = _Workbench(X)
-    t, c = wb.mask(step.free), wb.mask(step.coface)
-    wb.apply(t, c, step.direction, allow_trivial)
-    return wb.to_complex(X.ground_set)
+    wb.apply(X.mask_of(step.free), X.mask_of(step.coface), step.direction, allow_trivial)
+    return wb.to_complex()
 
 
 def replay(
@@ -387,8 +371,8 @@ def replay(
     for step in cert.steps:
         if step.direction != cert.kind:
             raise StepError("certificate mixes step directions")
-        wb.apply(wb.mask(step.free), wb.mask(step.coface), step.direction, allow_trivial)
-    end = wb.to_complex(X.ground_set)
+        wb.apply(X.mask_of(step.free), X.mask_of(step.coface), step.direction, allow_trivial)
+    end = wb.to_complex()
     if digest(end) != cert.end_hash:
         raise StepError("certificate end digest does not match the replayed complex")
     return end
@@ -412,7 +396,7 @@ def core_erosion(
     """
     wb = _Workbench(X)
     eroded = _core_erosion(wb, X.dim, rng_seed)
-    return wb.to_complex(X.ground_set), eroded
+    return wb.to_complex(), eroded
 
 
 def _core_erosion(wb: _Workbench, d: int, rng_seed: int | None = None) -> bool:
@@ -539,10 +523,9 @@ def search_collapse(
 def _certificate_from_masks(
     X: SimplicialComplex, end_wb: _Workbench, steps: list[tuple[int, int]]
 ) -> Certificate:
-    tr = end_wb.face
-    pairs = tuple(StepPair(tr(t), tr(c), COLLAPSE) for t, c in steps)
-    end = digest(end_wb.to_complex(X.ground_set))
-    return Certificate(COLLAPSE, pairs, digest(X), end)
+    face = X.face_of
+    pairs = tuple(StepPair(face(t), face(c), COLLAPSE) for t, c in steps)
+    return Certificate(COLLAPSE, pairs, digest(X), digest(end_wb.to_complex()))
 
 
 def random_discrete_morse(
@@ -555,7 +538,7 @@ def random_discrete_morse(
     of collapsed pairs.  A run returning (1, 0, ..., 0) certifies
     collapsibility.
     """
-    if not X.faces_of_dim(0):
+    if not X.n_faces(0):
         raise InputError("the random collapse procedure needs at least one vertex")
     rng = Random(rng_seed)
     wb = _Workbench(X)
@@ -570,7 +553,7 @@ def random_discrete_morse(
         if free:
             t, c = free[rng.randrange(len(free))]
             wb.collapse(t, c)
-            pairs.append((wb.face(t), wb.face(c)))
+            pairs.append((X.face_of(t), X.face_of(c)))
         else:
             top = sorted(wb.by_size[wb.max_size()])
             victim = top[rng.randrange(len(top))]
@@ -586,51 +569,26 @@ def verify_matching_acyclic(X: SimplicialComplex, matching: Matching) -> bool:
     cycle must then alternate matched and unmatched edges between two
     consecutive dimensions (down-edges are never adjacent, and a cycle with
     as many ups as downs and no two adjacent downs alternates strictly).
-    So it suffices to search the pair graph: pair p reaches pair q when the
-    free face of p lies in the coface of q.
+    So it suffices to search the pair graph, with each pair named by its
+    coface: pair p reaches pair q when the free face of p lies in the coface
+    of q.
     """
-    by_coface: dict[Face, int] = {}
-    pair_list = sorted(matching.pairs)
-    for idx, (low, high) in enumerate(pair_list):
-        if low not in X.faces or high not in X.faces:
+    cofaces = {high for _, high in matching.pairs}
+    reaches: dict[Face, list[Face]] = {}
+    for low, high in sorted(matching.pairs):
+        if low not in X or high not in X:
             raise InputError(f"pair ({low}, {high}) is not a face pair of the complex")
-        by_coface[high] = idx
-    succ: list[list[int]] = []
-    for low, high in pair_list:
-        out = []
-        for v in X.ground_set - set(low):
-            other = tuple(sorted(low + (v,)))
-            if other != high and other in by_coface:
-                out.append(by_coface[other])
-        succ.append(out)
-    color = [0] * len(pair_list)  # 0 new, 1 active, 2 done
-    for root in range(len(pair_list)):
-        if color[root]:
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    return False
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+        ups = (tuple(sorted(low + (v,))) for v in X.ground_set - set(low))
+        reaches[high] = [up for up in ups if up != high and up in cofaces]
+    try:
+        TopologicalSorter(reaches).prepare()
+    except CycleError:
+        return False
     return True
 
 
 # -- non-evasiveness ---------------------------------------------------
 
-# Shared across calls; plain dict reads and single-key inserts are atomic
-# under the interpreter lock, which is all the recursion needs.
-_NONEVASIVE_MEMO: dict[tuple, bool] = {}
 _CANON_BRUTE_LIMIT = 20_160  # brute-force permutation budget per call
 
 
@@ -642,7 +600,7 @@ def _canonical_key(X: SimplicialComplex) -> tuple:
     support = sorted(X.support)
     facets = X.facets()
     if not support:
-        return ("trivial", len(X.faces))
+        return ("trivial", len(X))
     neighbors: dict[int, set[int]] = {v: set() for v in support}
     for (u, v) in X.faces_of_dim(1):
         neighbors[u].add(v)
@@ -695,9 +653,13 @@ def is_non_evasive(X: SimplicialComplex) -> bool:
     """Recursive vertex-elimination test.
 
     A single vertex passes; otherwise some vertex must have both its link
-    and its deletion pass recursively.  Memoized on a canonical relabeling
-    so isomorphic sub-instances are solved once.
+    and its deletion pass recursively.  Memoized, within one call, on a
+    canonical relabeling so isomorphic sub-instances are solved once.
     """
+    return _non_evasive(X, {})
+
+
+def _non_evasive(X: SimplicialComplex, memo: dict[tuple, bool]) -> bool:
     support = X.support
     if not support:
         return False
@@ -706,14 +668,14 @@ def is_non_evasive(X: SimplicialComplex) -> bool:
     if len(X.facets()) == 1:
         return True  # a simplex is a cone
     key = _canonical_key(X)
-    cached = _NONEVASIVE_MEMO.get(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     result = False
     for v in sorted(support):
         lk, dl = link_and_del(X, v)
-        if is_non_evasive(lk) and is_non_evasive(dl):
+        if _non_evasive(lk, memo) and _non_evasive(dl, memo):
             result = True
             break
-    _NONEVASIVE_MEMO[key] = result
+    memo[key] = result
     return result

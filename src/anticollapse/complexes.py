@@ -5,6 +5,11 @@ empty tuple is the empty face (dimension -1).  A complex stores an explicit
 ground set, which may be larger than the support of its faces: the
 combinatorial dual is only well defined against a fixed ground set.
 
+Inside a complex each face is an int bitmask over the sorted ground set:
+bit i is the i-th smallest label (so any label costs one bit) and 0 is the
+empty face.  Tuples are made only at the boundary (make_face, parsing and
+printing, the public accessors); mask_of and face_of serve certificate steps.
+
 Two degenerate complexes are distinguished on purpose:
 
 * the "empty complex" on a ground set, whose only face is the empty face;
@@ -36,51 +41,81 @@ def make_face(vertices: Iterable[int]) -> Face:
     return face
 
 
+def _bits_of(ground: Iterable[int]) -> dict[int, int]:
+    """Each ground label mapped to its bit, in sorted label order."""
+    return {v: 1 << i for i, v in enumerate(sorted(ground))}
+
+
+def _mask(bits: dict[int, int], face: Iterable[int]) -> int:
+    m = 0
+    for v in face:
+        b = bits.get(v)
+        if b is None:
+            raise InputError(f"vertex {v} is outside the ground set")
+        m |= b
+    return m
+
+
 class SimplicialComplex:
-    """Immutable downward-closed face family over an explicit ground set."""
+    """Immutable downward-closed face family over an explicit ground set.
+    Its facets, digest and boundary invariant factors are computed once."""
 
-    __slots__ = ("_ground", "_faces", "_by_dim", "_facets", "_hash")
+    __slots__ = ("_ground", "_labels", "_bits", "_masks", "_by_size", "_faces", "_facets",
+                 "_hash", "_digest", "_factors")
 
-    def __init__(self, ground: Iterable[int], faces: Iterable[Face], _checked: bool = False):
+    def __init__(self, ground: Iterable[int], faces: Iterable[Face]):
         ground_set = frozenset(ground)
         face_set = frozenset(faces)
-        if not _checked:
-            for v in ground_set:
-                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    raise InputError(f"ground labels must be positive integers, got {v!r}")
-            for f in face_set:
-                if f != make_face(f):
-                    raise InputError(f"face {f} is not in canonical form")
-                if not set(f) <= ground_set:
-                    raise InputError(f"face {f} leaves the ground set")
-            for f in face_set:
-                if not f:
-                    continue
-                for g in combinations(f, len(f) - 1):
-                    if g not in face_set:
-                        raise InputError(f"family is not downward closed at {f} / {g}")
-            if face_set and EMPTY_FACE not in face_set:
-                raise InputError("a nonvoid complex must contain the empty face")
-        self._ground = ground_set
-        self._faces = face_set
-        by_dim: dict[int, set[Face]] = {}
+        for v in ground_set:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise InputError(f"ground labels must be positive integers, got {v!r}")
         for f in face_set:
-            by_dim.setdefault(len(f) - 1, set()).add(f)
-        self._by_dim = {d: frozenset(fs) for d, fs in by_dim.items()}
-        self._facets: tuple[Face, ...] | None = None
-        self._hash: int | None = None
+            if f != make_face(f):
+                raise InputError(f"face {f} is not in canonical form")
+            if not set(f) <= ground_set:
+                raise InputError(f"face {f} leaves the ground set")
+        for f in face_set:
+            if not f:
+                continue
+            for g in combinations(f, len(f) - 1):
+                if g not in face_set:
+                    raise InputError(f"family is not downward closed at {f} / {g}")
+        if face_set and EMPTY_FACE not in face_set:
+            raise InputError("a nonvoid complex must contain the empty face")
+        bits = _bits_of(ground_set)
+        self._setup(ground_set, bits, {_mask(bits, f) for f in face_set})
+        self._faces = face_set
+
+    @classmethod
+    def _from_masks(cls, ground: Iterable[int], masks: Iterable[int]) -> "SimplicialComplex":
+        """The private constructor: masks over the sorted ground, which must
+        form a downward-closed family.  Nothing is checked."""
+        X = cls.__new__(cls)
+        ground_set = frozenset(ground)
+        X._setup(ground_set, _bits_of(ground_set), masks)
+        return X
+
+    def _setup(self, ground: frozenset[int], bits: dict[int, int], masks: Iterable[int]) -> None:
+        self._ground = ground
+        self._labels = tuple(bits)
+        self._bits = bits
+        self._masks = frozenset(masks)
+        self._by_size: dict[int, set[int]] = {}
+        for m in self._masks:
+            self._by_size.setdefault(m.bit_count(), set()).add(m)
+        self._faces = self._facets = self._hash = self._digest = self._factors = None
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def void(ground: Iterable[int]) -> "SimplicialComplex":
         """The complex with no faces at all."""
-        return SimplicialComplex(ground, (), _checked=True)
+        return SimplicialComplex._from_masks(ground, ())
 
     @staticmethod
     def empty(ground: Iterable[int]) -> "SimplicialComplex":
         """The complex whose only face is the empty face."""
-        return SimplicialComplex(ground, (EMPTY_FACE,), _checked=True)
+        return SimplicialComplex._from_masks(ground, (0,))
 
     @staticmethod
     def simplex(n: int) -> "SimplicialComplex":
@@ -97,6 +132,17 @@ class SimplicialComplex:
         verts = tuple(range(1, n + 1))
         return from_facets(list(combinations(verts, n - 1)))
 
+    # -- masks and faces -----------------------------------------------
+
+    def mask_of(self, face: Iterable[int]) -> int:
+        """The bitmask of a face; InputError for a vertex outside the ground set."""
+        return _mask(self._bits, face)
+
+    def face_of(self, mask: int) -> Face:
+        """The face tuple of a bitmask over the sorted ground set."""
+        labels = self._labels
+        return tuple(labels[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
     # -- basic queries -------------------------------------------------
 
     @property
@@ -105,66 +151,71 @@ class SimplicialComplex:
 
     @property
     def faces(self) -> frozenset[Face]:
+        if self._faces is None:
+            self._faces = frozenset(map(self.face_of, self._masks))
         return self._faces
 
     @property
     def dim(self) -> int:
         """Dimension of the complex; -1 for the empty complex, -2 for void."""
-        if not self._faces:
+        if not self._masks:
             return -2
-        return max(self._by_dim)
+        return max(self._by_size) - 1
 
     def faces_of_dim(self, d: int) -> frozenset[Face]:
-        return self._by_dim.get(d, frozenset())
+        return frozenset(map(self.face_of, self._by_size.get(d + 1, ())))
 
     def n_faces(self, d: int) -> int:
-        return len(self._by_dim.get(d, ()))
+        return len(self._by_size.get(d + 1, ()))
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(v for (v,) in self._by_dim.get(0, ()))
+        return frozenset(self._labels[m.bit_length() - 1] for m in self._by_size.get(1, ()))
 
     def __contains__(self, face: Face) -> bool:
-        return face in self._faces
+        return face in self.faces
 
     def __len__(self) -> int:
-        return len(self._faces)
+        return len(self._masks)
 
     def facets(self) -> tuple[Face, ...]:
         """Maximal faces, canonically sorted."""
         if self._facets is None:
-            # In a downward-closed family a face is maximal iff it is not a
-            # subface, one dimension down, of another face.
-            covered: set[Face] = set()
-            for f in self._faces:
-                if f:
-                    covered.update(combinations(f, len(f) - 1))
-            self._facets = tuple(sorted(self._faces - covered))
+            # In a downward-closed family a face is maximal iff adding any
+            # one vertex to it gives a non-face.
+            masks = self._masks
+            full = (1 << len(self._labels)) - 1
+            tops = []
+            for m in masks:
+                rest = full ^ m
+                while rest:
+                    b = rest & -rest
+                    if m | b in masks:
+                        break
+                    rest ^= b
+                else:
+                    tops.append(m)
+            self._facets = tuple(sorted(map(self.face_of, tops)))
         return self._facets
 
     def is_simplex(self) -> bool:
         """True iff this is the full simplex on its ground set."""
-        n = len(self._ground)
-        return len(self._faces) == 2 ** n
+        return len(self._masks) == 1 << len(self._labels)
 
     def euler_characteristic(self) -> int:
         """Reduced Euler characteristic; -1 for the empty complex, 0 for void."""
-        total = 0
-        for d, fs in self._by_dim.items():
-            if d >= 0:
-                total += (-1) ** d * len(fs)
-        return total - 1 if self._faces else 0
+        return sum((-1) ** (k + 1) * len(ms) for k, ms in self._by_size.items())
 
     # -- equality ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._ground == other._ground and self._faces == other._faces
+        return self._ground == other._ground and self._masks == other._masks
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._ground, self._faces))
+            self._hash = hash((self._ground, self._masks))
         return self._hash
 
     def __repr__(self) -> str:
@@ -174,11 +225,14 @@ class SimplicialComplex:
         )
 
 
-def _closure(facets: Iterable[Face]) -> set[Face]:
-    faces: set[Face] = {EMPTY_FACE}
-    for facet in facets:
-        for k in range(1, len(facet) + 1):
-            faces.update(combinations(facet, k))
+def _closure(tops: Iterable[int]) -> set[int]:
+    """Every submask of every mask in tops, the empty face included."""
+    faces: set[int] = {0}
+    for m in tops:
+        sub = m if m not in faces else 0  # a face already in has all its subfaces
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & m
     return faces
 
 
@@ -202,7 +256,8 @@ def from_facets(
         ground_set = frozenset(ground)
         if not support <= ground_set:
             raise InputError("ground set does not contain all facet vertices")
-    return SimplicialComplex(ground_set, _closure(canon), _checked=True)
+    bits = _bits_of(ground_set)
+    return SimplicialComplex._from_masks(ground_set, _closure(_mask(bits, f) for f in canon))
 
 
 def link_and_del(X: SimplicialComplex, v: int) -> tuple[SimplicialComplex, SimplicialComplex]:
@@ -213,17 +268,17 @@ def link_and_del(X: SimplicialComplex, v: int) -> tuple[SimplicialComplex, Simpl
     """
     if v not in X.ground_set:
         raise InputError(f"vertex {v} is not in the ground set")
-    ground = X.ground_set - {v}
+    bit = X._bits[v]
+    low = bit - 1
     link_faces = set()
     del_faces = set()
-    for f in X.faces:
-        if v in f:
-            link_faces.add(tuple(u for u in f if u != v))
-        else:
-            del_faces.add(f)
+    for m in X._masks:
+        # drop v's bit and move the bits above it down by one
+        (link_faces if m & bit else del_faces).add((m & low) | ((m >> 1) & ~low))
+    ground = X.ground_set - {v}
     return (
-        SimplicialComplex(ground, link_faces, _checked=True),
-        SimplicialComplex(ground, del_faces, _checked=True),
+        SimplicialComplex._from_masks(ground, link_faces),
+        SimplicialComplex._from_masks(ground, del_faces),
     )
 
 
@@ -231,18 +286,18 @@ def join(X: SimplicialComplex, Y: SimplicialComplex) -> SimplicialComplex:
     """Join of two complexes on disjoint ground sets: all unions of faces."""
     if X.ground_set & Y.ground_set:
         raise InputError("join requires disjoint ground sets")
-    faces = {
-        tuple(sorted(f + g))
-        for f in X.faces
-        for g in Y.faces
-    }
-    return SimplicialComplex(X.ground_set | Y.ground_set, faces, _checked=True)
+    ground = X.ground_set | Y.ground_set
+    bits = _bits_of(ground)
+    left = [_mask(bits, f) for f in X.faces]
+    right = [_mask(bits, g) for g in Y.faces]
+    return SimplicialComplex._from_masks(ground, {f | g for f in left for g in right})
 
 
 def skeleton(X: SimplicialComplex, j: int) -> SimplicialComplex:
     """Faces of dimension at most j, same ground set."""
-    faces = {f for f in X.faces if len(f) - 1 <= j}
-    return SimplicialComplex(X.ground_set, faces, _checked=True)
+    return SimplicialComplex._from_masks(
+        X.ground_set, (m for m in X._masks if m.bit_count() <= j + 1)
+    )
 
 
 def pure_part(X: SimplicialComplex) -> SimplicialComplex:
@@ -250,32 +305,27 @@ def pure_part(X: SimplicialComplex) -> SimplicialComplex:
     d = X.dim
     if d < 0:
         return X
-    return from_facets(sorted(X.faces_of_dim(d)), ground=X.ground_set)
+    return SimplicialComplex._from_masks(X.ground_set, _closure(X._by_size[d + 1]))
 
 
 def relabeled(X: SimplicialComplex, mapping: dict[int, int]) -> SimplicialComplex:
     """Apply a vertex relabeling; labels not in the mapping are kept."""
-    def move(v: int) -> int:
-        return mapping.get(v, v)
-
-    ground = {move(v) for v in X.ground_set}
+    moves = {v: mapping.get(v, v) for v in X.ground_set}
+    ground = make_face(set(moves.values()))
     if len(ground) != len(X.ground_set):
         raise InputError("relabeling is not injective on the ground set")
-    faces = {make_face(move(v) for v in f) for f in X.faces}
-    return SimplicialComplex(ground, faces, _checked=True)
+    bits = _bits_of(ground)
+    moved = {v: bits[w] for v, w in moves.items()}
+    return SimplicialComplex._from_masks(ground, {_mask(moved, f) for f in X.faces})
 
 
 def hasse_edges(X: SimplicialComplex, include_empty: bool = True) -> Iterator[tuple[Face, Face]]:
     """Edges (lower, upper) of the face poset between consecutive dimensions."""
-    lowest = -1 if include_empty else 0
-    for d in sorted(X._by_dim):
-        if d < lowest or d + 1 not in X._by_dim:
-            continue
-        uppers = X._by_dim[d + 1]
-        for upper in uppers:
+    lowest = 1 if include_empty else 2  # size of the smallest upper face
+    for upper in X.faces:
+        if len(upper) >= lowest:
             for lower in combinations(upper, len(upper) - 1):
-                if lower in X.faces and len(lower) - 1 >= lowest:
-                    yield (lower, upper)
+                yield (lower, upper)
 
 
 def connected_components(X: SimplicialComplex) -> int:
@@ -298,13 +348,13 @@ def connected_components(X: SimplicialComplex) -> int:
 
 def digest(X: SimplicialComplex) -> str:
     """Hex digest of the canonical serialization (ground size + sorted facets)."""
-    lines = [f"ground {len(X.ground_set)}"]
-    for f in sorted(X.facets()):
-        lines.append(" ".join(str(v) for v in f))
-    if not X.faces:
-        lines.append("void")
-    payload = "\n".join(lines).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    if X._digest is None:
+        lines = [f"ground {len(X.ground_set)}"]
+        lines.extend(" ".join(map(str, f)) for f in X.facets())
+        if not X._masks:
+            lines.append("void")
+        X._digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return X._digest
 
 
 def format_facet_file(X: SimplicialComplex, header_comments: Sequence[str] = ()) -> str:
@@ -317,10 +367,10 @@ def format_facet_file(X: SimplicialComplex, header_comments: Sequence[str] = ())
         raise InputError("facet files require ground sets of the form {1..n}")
     lines = [f"# {c}" for c in header_comments]
     lines.append(f"ground {len(X.ground_set)}")
-    if not X.faces:
+    if not len(X):
         lines.append("void")
     else:
-        for f in sorted(X.facets()):
+        for f in X.facets():
             if f:
                 lines.append(" ".join(str(v) for v in f))
     return "\n".join(lines) + "\n"

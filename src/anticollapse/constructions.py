@@ -234,24 +234,13 @@ def double_cone(X: SimplicialComplex, x: int) -> SimplicialComplex:
     vertex and gains one dimension.  When x is not a vertex of X both cones
     are taken over X itself.
     """
-    if not X.faces:
+    if not len(X):
         raise InputError("the double cone needs a nonvoid complex")
     a, b = double_cone_labels(X, x)
-    if x in X.ground_set:
-        X_b = relabeled(X, {x: b})
-        X_a = relabeled(X, {x: a})
-    else:
-        X_b = X
-        X_a = X
-    faces = set()
-    for f in X_b.faces:
-        faces.add(f)
-        faces.add(tuple(sorted((a,) + f)))
-    for f in X_a.faces:
-        faces.add(f)
-        faces.add(tuple(sorted((b,) + f)))
-    ground = (X.ground_set - {x}) | {a, b}
-    return SimplicialComplex(ground, faces, _checked=True)
+    # the cone over a copy is the closure of its facets, each with the apex
+    facets = [f + (a,) for f in relabeled(X, {x: b}).facets()]
+    facets += [f + (b,) for f in relabeled(X, {x: a}).facets()]
+    return from_facets(facets, ground=(X.ground_set - {x}) | {a, b})
 
 
 def lift_matching(X: SimplicialComplex, x: int, matching: Matching) -> Matching:
@@ -291,15 +280,13 @@ def stacking_move(X: SimplicialComplex, sigma: Face) -> SimplicialComplex:
     the same dimension, and d more top-dimensional faces than before.
     """
     sigma = tuple(sorted(sigma))
-    if sigma not in X.faces or len(sigma) - 1 != X.dim:
+    if sigma not in X.facets() or len(sigma) - 1 != X.dim:
         raise InputError(f"{sigma} is not a top-dimensional facet")
     (v,) = _fresh_labels(X.ground_set, 1)
-    faces = set(X.faces)
-    faces.discard(sigma)
-    for k in range(len(sigma)):
-        for rho in combinations(sigma, k):
-            faces.add(tuple(sorted((v,) + rho)))
-    return SimplicialComplex(X.ground_set | {v}, faces, _checked=True)
+    # the cone keeps every proper face of sigma; the other facets stay
+    facets = [f for f in X.facets() if f != sigma]
+    facets += [rho + (v,) for rho in combinations(sigma, len(sigma) - 1)]
+    return from_facets(facets, ground=X.ground_set | {v})
 
 
 # -- randomized discovery of the 8-vertex bases ------------------------

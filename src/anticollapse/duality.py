@@ -26,7 +26,6 @@ from .collapse import (
     replay,
 )
 from .complexes import (
-    EMPTY_FACE,
     Face,
     SimplicialComplex,
     digest,
@@ -38,48 +37,25 @@ from .homology import _betti_numbers, _check_ring
 
 def minimal_nonfaces(X: SimplicialComplex) -> list[Face]:
     """Inclusion-minimal subsets of the ground set that are not faces."""
-    if not X.faces:
-        return [EMPTY_FACE]
-    ground = sorted(X.ground_set)
-    minimal: list[Face] = []
-    # level-wise: a k-set is a candidate iff all its (k-1)-subsets are faces
-    level: list[Face] = [EMPTY_FACE]
-    for size in range(1, len(ground) + 1):
-        next_level: list[Face] = []
-        seen: set[Face] = set()
-        for f in level:
-            start = f[-1] if f else 0
-            for v in ground:
-                if v <= start:
-                    continue
-                cand = f + (v,)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if all(cand[:j] + cand[j + 1 :] in X.faces for j in range(size)):
-                    if cand in X.faces:
-                        next_level.append(cand)
-                    else:
-                        minimal.append(cand)
-        level = next_level
+    faces = X._masks
+    minimal = []
+    for m in range(1 << len(X.ground_set)):
+        below = (m ^ (1 << i) for i in range(m.bit_length()) if m >> i & 1)
+        if m not in faces and all(f in faces for f in below):
+            minimal.append(X.face_of(m))
     return sorted(minimal)
 
 
 def alexander_dual(X: SimplicialComplex) -> SimplicialComplex:
     """The dual complex on the same ground set.
 
-    Computed from minimal non-faces: the facets of the dual are exactly the
-    complements of the minimal non-faces of X.
+    Its faces are the complements of the non-faces of X, so the rule is an
+    exact involution, the void and the empty complex included.
     """
-    ground = X.ground_set
-    nonfaces = minimal_nonfaces(X)
-    if not nonfaces:
-        return SimplicialComplex.void(ground)
-    facets = [tuple(sorted(ground - set(m))) for m in nonfaces]
-    if facets == [EMPTY_FACE]:
-        # the only minimal non-face is the ground set itself
-        return SimplicialComplex.empty(ground)
-    return from_facets([f for f in facets if f], ground=ground)
+    full = (1 << len(X.ground_set)) - 1
+    # m is a face of the dual iff its complement full ^ m is not a face of X
+    faces = set(range(full + 1)).difference(full ^ m for m in X._masks)
+    return SimplicialComplex._from_masks(X.ground_set, faces)
 
 
 def dual_by_enumeration(X: SimplicialComplex) -> SimplicialComplex:
@@ -93,7 +69,7 @@ def dual_by_enumeration(X: SimplicialComplex) -> SimplicialComplex:
             comp = tuple(sorted(set(ground) - set(sub)))
             if comp not in X.faces:
                 faces.add(sub)
-    return SimplicialComplex(X.ground_set, faces, _checked=True)
+    return SimplicialComplex(X.ground_set, faces)
 
 
 def dual_step(step: StepPair, ground: frozenset[int]) -> StepPair:
@@ -127,7 +103,7 @@ def _transport(X: SimplicialComplex, cert: Certificate, start: SimplicialComplex
     end = replay(X, cert)  # validates the input certificate
     ground = X.ground_set
     steps = [dual_step(s, ground) for s in cert.steps]
-    if len(end.faces) == 2 and end.n_faces(0) == 1:
+    if len(end) == 2 and end.n_faces(0) == 1:
         # ends at a lone vertex v: append the dual of the trivial collapse,
         # adding the missing (n-2)-face and the top face
         (v,) = next(iter(end.faces_of_dim(0)))
@@ -172,7 +148,7 @@ def is_anticollapsible(
     Success gives a replayable expansion certificate; failure within budget
     proves nothing.
     """
-    if not X.faces:
+    if not len(X):
         raise InputError("expansion search needs a nonvoid complex")
     dual = alexander_dual(X)
     found = _dual_collapse(X, _Workbench(dual), rng_seed, restarts, backtrack)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from typing import Sequence
 
 from .complexes import Face, SimplicialComplex
 from .errors import InputError
@@ -46,11 +47,27 @@ def boundary_column(face: Face, row_index: dict[Face, int]) -> dict[int, int]:
     return col
 
 
+def _mask_column(m: int, row_index: dict[int, int]) -> dict[int, int]:
+    """Sparse boundary of one face mask over the rows in row_index; a
+    facet of the face that has no row is left out."""
+    col: dict[int, int] = {}
+    sign = 1
+    rest = m
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        r = row_index.get(m ^ b)
+        if r is not None:
+            col[r] = sign
+        sign = -sign
+    return col
+
+
 def _boundary_columns(X: SimplicialComplex, i: int) -> list[dict[int, int]]:
     """Sparse columns of the i-th boundary map, rows and columns over the
-    (i-1)- and i-faces in sorted order."""
-    row_index = {f: k for k, f in enumerate(sorted(X.faces_of_dim(i - 1)))}
-    return [boundary_column(face, row_index) for face in sorted(X.faces_of_dim(i))]
+    (i-1)- and i-faces in mask order."""
+    row_index = {m: k for k, m in enumerate(sorted(X._by_size.get(i, ())))}
+    return [_mask_column(m, row_index) for m in sorted(X._by_size.get(i + 1, ()))]
 
 
 def boundary_matrix(X: SimplicialComplex, i: int) -> BoundaryMatrix:
@@ -63,9 +80,10 @@ def boundary_matrix(X: SimplicialComplex, i: int) -> BoundaryMatrix:
         raise InputError("boundary maps are indexed by i >= 0")
     rows = tuple(sorted(X.faces_of_dim(i - 1)))
     cols = tuple(sorted(X.faces_of_dim(i)))
+    row_index = {f: k for k, f in enumerate(rows)}
     dense = [[0] * len(cols) for _ in rows]
-    for j, col in enumerate(_boundary_columns(X, i)):
-        for r, sign in col.items():
+    for j, face in enumerate(cols):
+        for r, sign in boundary_column(face, row_index).items():
             dense[r][j] = sign
     return BoundaryMatrix(rows, cols, tuple(tuple(r) for r in dense))
 
@@ -241,9 +259,14 @@ def smith_invariant_factors(columns: list[dict[int, int]]) -> list[int]:
     return [1] * len(pivots) + sorted(diagonal)
 
 
-def _boundary_factors(X: SimplicialComplex) -> list[list[int]]:
-    """Invariant factors of the boundary maps in degrees 0..dim."""
-    return [smith_invariant_factors(_boundary_columns(X, i)) for i in range(X.dim + 1)]
+def _boundary_factors(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+    """Invariant factors of the boundary maps in degrees 0..dim, computed
+    once per complex and kept with it."""
+    if X._factors is None:
+        X._factors = tuple(
+            tuple(smith_invariant_factors(_boundary_columns(X, i))) for i in range(X.dim + 1)
+        )
+    return X._factors
 
 
 @dataclass(frozen=True)
@@ -271,14 +294,14 @@ def homology(X: SimplicialComplex) -> HomologyProfile:
     """Reduced homology in every dimension from integer normal forms."""
     if X.dim < 0:
         return HomologyProfile((), ())
-    factors = _boundary_factors(X) + [[]]
+    factors = _boundary_factors(X) + ((),)
     dims = range(X.dim + 1)
     betti = (X.n_faces(i) - len(factors[i]) - len(factors[i + 1]) for i in dims)
     torsion = (tuple(t for t in factors[i + 1] if t > 1) for i in dims)
     return HomologyProfile(tuple(betti), tuple(torsion))
 
 
-def _unit_count(factors: list[int], ring: int | str) -> int:
+def _unit_count(factors: Sequence[int], ring: int | str) -> int:
     """How many invariant factors are units of the ring.
 
     Over Q and GF(p) this is the rank of the map: its normal form is
@@ -301,7 +324,7 @@ def _betti_numbers(X: SimplicialComplex, ring: int | str) -> dict[int, int]:
     rational ranks of d_i and d_(i+1) sum to at most n_i, so equality
     everywhere forces every factor to be 1 and every Betti number to be 0.
     """
-    if not X.faces:
+    if not len(X):
         return {}
     ranks = [0] + [_unit_count(f, ring) for f in _boundary_factors(X)] + [0]
     return {i: X.n_faces(i) - ranks[i + 1] - ranks[i + 2] for i in range(-1, X.dim + 1)}

@@ -28,6 +28,7 @@ from .errors import InputError, SizeError
 from .homology import (
     HomologyProfile,
     IncrementalRank,
+    _mask_column,
     boundary_column,
     homology,
     smith_invariant_factors,
@@ -85,19 +86,12 @@ def spanning_torsion_order(X: SimplicialComplex, d: int) -> int:
     incidence matrix of a spanning tree).  The determinant is the product of
     the invariant factors, and 0 when there are fewer factors than columns.
     """
-    ground = sorted(X.ground_set)
-    top = sorted(X.faces_of_dim(d))
-    if len(top) != comb(len(ground) - 1, d):
+    top = sorted(X._by_size.get(d + 1, ()))
+    if len(top) != comb(len(X.ground_set) - 1, d):
         raise InputError("spanning torsion shortcut needs exactly C(n-1, d) top faces")
-    row_index = {f: i for i, f in enumerate(combinations(ground[:-1], d))}
-    columns = []
-    for face in top:
-        col = {}
-        for k in range(len(face)):
-            i = row_index.get(face[:k] + face[k + 1 :])
-            if i is not None:
-                col[i] = -1 if k % 2 else 1
-        columns.append(col)
+    last = 1 << (len(X.ground_set) - 1)
+    row_index = {m: i for i, m in enumerate(sorted(X._by_size.get(d, ()))) if not m & last}
+    columns = [_mask_column(m, row_index) for m in top]
     factors = smith_invariant_factors(columns)
     return prod(factors) if len(factors) == len(top) else 0
 

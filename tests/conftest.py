@@ -1,12 +1,24 @@
 """Shared generators and reference complexes for the test suite."""
 from __future__ import annotations
 
+import tempfile
 from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from anticollapse.complexes import SimplicialComplex, from_facets
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it parses from local source files in
+    # its home directory, even with derandomize=True and no example
+    # database; keep that cache out of the checkout.
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
+
 
 # Six-vertex triangulation of the real projective plane (antipodal quotient
 # of the icosahedron): 6 vertices, 15 edges, 10 triangles, every edge in
@@ -63,7 +75,7 @@ def all_complexes_on(ground: tuple[int, ...]):
         faces = set(chosen)
         if faces:
             faces.add(())
-        yield SimplicialComplex(ground, faces, _checked=True)
+        yield SimplicialComplex(ground, faces)
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
 """Command-line surface: exit codes, formats, determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
+
 import pytest
 
 from anticollapse.cli import EXIT_FAIL, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, main
@@ -11,6 +14,8 @@ from anticollapse.complexes import (
     from_facets,
     read_facet_file,
 )
+from anticollapse.constructions import C38_3_FACETS, Y28_2_FACETS, Y38_3_FACETS
+from anticollapse.duality import dual_by_enumeration
 
 from conftest import RP2_FACETS
 
@@ -179,3 +184,155 @@ def test_verify_cert_rejects_noncanonical_vertex_lists(simplex_file, tmp_path, c
     cert_path.write_text(json.dumps(payload))
     assert main(["verify-cert", simplex_file, str(cert_path)]) == EXIT_USAGE
     assert "replay ok" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("start", 5), ("end", ["a"]), ("start", "abc123"), ("end", "A" * 64)],
+    ids=["int", "list", "short", "uppercase"],
+)
+def test_verify_cert_rejects_malformed_digests(simplex_file, tmp_path, capsys, key, value):
+    cert_path = tmp_path / "simplex.cert"
+    main(["collapse", simplex_file, "--seed", "5", "--out", str(cert_path)])
+    payload = json.loads(cert_path.read_text())
+    payload[key] = value
+    cert_path.write_text(json.dumps(payload))
+    assert main(["verify-cert", simplex_file, str(cert_path)]) == EXIT_USAGE
+    assert "replay" not in capsys.readouterr().out
+
+
+# -- seeded output pins -------------------------------------------------
+
+
+def listed_dual(facets):
+    return dual_by_enumeration(from_facets(facets, ground=range(1, 9))).facets()
+
+
+PIN_INPUTS = {
+    "rp2": RP2_FACETS,
+    "Y28_2": Y28_2_FACETS,
+    "Y38_3": Y38_3_FACETS,
+    "C38_3": C38_3_FACETS,
+    "dual_Y28_2": listed_dual(Y28_2_FACETS),
+    "dual_Y38_3": listed_dual(Y38_3_FACETS),
+}
+
+PIN_COMMANDS = [
+    ["dual", "in.facets"],
+    ["dual", "in.facets", "--out", "out.facets"],
+    ["collapse", "in.facets", "--seed", "3"],
+    ["collapse", "in.facets", "--seed", "3", "--out", "out.cert"],
+    ["anticollapse", "in.facets", "--seed", "3"],
+    ["anticollapse", "in.facets", "--seed", "3", "--out", "out.cert"],
+    ["rdm", "in.facets", "--trials", "4", "--seed", "5"],
+    ["core", "in.facets"],
+]
+
+
+def run_pinned(argv, capsys) -> str:
+    """sha256 over the exit code, stdout and every file the command wrote."""
+    code = main(argv)
+    h = hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode())
+    for path in sorted(Path(".").glob("out.*")):
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+        path.unlink()
+    return h.hexdigest()
+
+
+# sha256 of each command in PIN_COMMANDS, in order, taken before faces
+# became bitmasks; every seeded output must stay byte-identical.
+CLI_PINS = {
+    "C38_3": [
+        "4f60bcfb134244e32ee2a77b326ba70d57c05025f5bc3d72425dcca04294bb88",
+        "a12179e0bb4d6e812058b2c6d30001e467a216ff26f4ec3a54ce45883af015a0",
+        "c7c698b0ffae983f10f21015475df98bd86ec2da180de89eb9d11899731ff6dd",
+        "c7c698b0ffae983f10f21015475df98bd86ec2da180de89eb9d11899731ff6dd",
+        "bde2ebe4cf990848291811c744be44d0b271f4cb7f9e39857f63cf50a9c61186",
+        "bde2ebe4cf990848291811c744be44d0b271f4cb7f9e39857f63cf50a9c61186",
+        "20b3af6171f4a9a2aef087678e76c1d4d0de66e97ad0b39aff3e3017ab98b43b",
+        "3fc217a9f566876e4949c7deaab730a087250ecec50f2d7a74ce1d24093f495a",
+    ],
+    "Y28_2": [
+        "9270fbd6474b50c57e775b1f44920c159a9fcb8be778c00a6bce511707fc0617",
+        "006cf122b50733eb71e2d057af4998176d30987bfdd79a5018f457a708c6cfde",
+        "81d072859e91221dfa16b99fc6bd529a62f61eb7a43801546ed1453ca3438f38",
+        "e9e73821f8a5e38a677e6f4ea7b2591dbb58807483ba958d00eb7e91fabac04b",
+        "bde2ebe4cf990848291811c744be44d0b271f4cb7f9e39857f63cf50a9c61186",
+        "bde2ebe4cf990848291811c744be44d0b271f4cb7f9e39857f63cf50a9c61186",
+        "be71a6fdd5efe233fe560e994a9742064d0a564f4d5247d7e87f62a70cd0d461",
+        "63e3ae2b8f24f649af01317dcc6e5859271d17276604034df0ac329c0f46745a",
+    ],
+    "Y38_3": [
+        "6a8ba4d14914a2465e67d6f297acabe3655900de3cae3c273b8d1acddc2b81f7",
+        "dd81075dad40393ccb4060c75b17683dc07bc6416c589483318e3697cc8f3e43",
+        "e5a931540e0b87a6bc9b35af0835f6a9f82c2bad01deb0af57aa11d8e7877b3c",
+        "04bdb073fd9ecf103854ce659944d0ab751ca07ccc782f74ca584027204824c2",
+        "bde2ebe4cf990848291811c744be44d0b271f4cb7f9e39857f63cf50a9c61186",
+        "bde2ebe4cf990848291811c744be44d0b271f4cb7f9e39857f63cf50a9c61186",
+        "621046bfafc8822c823839622d837bb0edf68c39ff68ed76069a8acbd2ec843c",
+        "8ed3da12c096b70a6e1b5af156b70c32133bf4b5436b6f5bf2270996a5dff4c0",
+    ],
+    "dual_Y28_2": [
+        "8a0c23d6eb275d4cd326871a419c4705571078e85205eb7f4f5ec83b44bbaff9",
+        "d3e37671adaadb17f349a49721ac504214047c4a0612edeaa0a0f1ae5c8e5dac",
+        "c7c698b0ffae983f10f21015475df98bd86ec2da180de89eb9d11899731ff6dd",
+        "c7c698b0ffae983f10f21015475df98bd86ec2da180de89eb9d11899731ff6dd",
+        "cfbef1881f5e3498baa39f73f07db1f0a26cb5951c5ec7e5a17eb7484ca191f4",
+        "7233487b65bef028d3ad0bf6e8f07774d1c3076c7d2b6a0b2bda02bb0b4c9b0d",
+        "a8620ca9b23d414fccfe47a0dae1a243c3a746fdeee8fdf7c5848da77c6ce962",
+        "319bdeb0b55e4e7cb0bfbdc3256e40da2d15c2b862a9af0e5cebe50c7d1008f7",
+    ],
+    "dual_Y38_3": [
+        "3da455539e1ce42d0435e9c2eeb223b63e40aea206643394aa62a9c2b92e40da",
+        "2aded2ea7baa2f13a31471599da12f5abe9d1a81dd7a3ed53335d44ac7430fa0",
+        "c7c698b0ffae983f10f21015475df98bd86ec2da180de89eb9d11899731ff6dd",
+        "c7c698b0ffae983f10f21015475df98bd86ec2da180de89eb9d11899731ff6dd",
+        "a3d8ae7ccf1eb01ffdc0f4e85139676f19620b6fa8d053620072be267cef144f",
+        "caadaa9351c55083239cb7f4b4406240bb451936a8090fa35f7dad7aa3870244",
+        "e38492110e2f073c986e164af17f20dd203d811abd14dd074e8604a9594ae7c2",
+        "553441d38f7121c14e077c4523b2fb072438aceccbc55e84045ecc79e7c0cd71",
+    ],
+    "rp2": [
+        "f530e2844001ec4d5e5546dfbb39e7dc9b8f4b0376735da2ac65dbcb416e1ca1",
+        "0182f243d63ea6b88960b82cdd3fcf8af364fc1de864834744b8ea081e71709d",
+        "c7c698b0ffae983f10f21015475df98bd86ec2da180de89eb9d11899731ff6dd",
+        "c7c698b0ffae983f10f21015475df98bd86ec2da180de89eb9d11899731ff6dd",
+        "bde2ebe4cf990848291811c744be44d0b271f4cb7f9e39857f63cf50a9c61186",
+        "bde2ebe4cf990848291811c744be44d0b271f4cb7f9e39857f63cf50a9c61186",
+        "c586880dcb918b81854ec35df07b744aacbacda2065ce7155506f83433632246",
+        "b6cd422ee4c116e64213debe3a8a9067297ed1861aa284aa95aceef07449e7fe",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_INPUTS))
+def test_cli_outputs_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("in.facets").write_text(
+        format_facet_file(from_facets(PIN_INPUTS[name])), encoding="utf-8"
+    )
+    assert [run_pinned(argv, capsys) for argv in PIN_COMMANDS] == CLI_PINS[name]
+
+
+KRUSKAL_PINS = {
+    (7, 2, 4): (
+        "18697c47ced850858ff8ca89d39f680f77767217478e64ab2a133b6783396d5b",
+        "002d457f9c151a975e66f804a2d5c4638254038bf16a0eb351951f4cc0df4560",
+    ),
+    (8, 3, 11): (
+        "6f42ef61b6bd049c5dfff3e52a8331fecd731192b99ea6545ef73ce4db5b4811",
+        "acd654f13d5f7840fe71a021f75855e924085aab9b10eeb57c269008048d9d61",
+    ),
+    (9, 4, 2): (
+        "3938acb86d0f4ebcf0d5966917501a9da4690dd1df26816b199b54e04cdba2a9",
+        "19e3a01d026b354fe73593a35a11329200b14a12571bbdbd09f3fb8bb02e38a1",
+    ),
+}
+
+
+def test_kruskal_outputs_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for (n, d, seed), expected in KRUSKAL_PINS.items():
+        argv = ["kruskal", "--n", str(n), "--d", str(d), "--seed", str(seed)]
+        assert run_pinned(argv, capsys) == expected[0]
+        assert run_pinned(argv + ["--out", "out.facets"], capsys) == expected[1]

@@ -1,6 +1,7 @@
 """Face-family construction, queries, and the facet file format."""
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 from math import comb
 from random import Random
@@ -22,6 +23,7 @@ from anticollapse.complexes import (
     relabeled,
     skeleton,
 )
+from anticollapse.duality import alexander_dual, dual_by_enumeration
 from anticollapse.errors import InputError
 
 from conftest import all_complexes_on, random_complex
@@ -253,3 +255,76 @@ def test_euler_characteristic():
     assert from_facets([[1], [2]]).euler_characteristic() == 1
     assert SimplicialComplex.empty([1, 2]).euler_characteristic() == -1
     assert SimplicialComplex.void([1, 2]).euler_characteristic() == 0
+
+
+# -- accessors against their tuple definitions --------------------------
+
+SPARSE_LABELS = (2, 5, 9, 40, 10**9, 10**9 + 7)
+
+
+def tuple_closure(facets) -> set:
+    return {g for f in facets for k in range(len(f) + 1) for g in combinations(f, k)}
+
+
+def accessor_cases():
+    """(ground, faces) pairs: every complex on {1, 2, 3}, seeded random
+    draws, and the same draws moved onto a sparse ground set."""
+    cases = [(X.ground_set, X.faces) for X in all_complexes_on((1, 2, 3))]
+    rng = Random(41)
+    for _ in range(40):
+        X = random_complex(rng)
+        cases.append((X.ground_set, X.faces))
+        move = dict(zip(sorted(X.ground_set), SPARSE_LABELS))
+        cases.append(
+            (frozenset(move.values()), frozenset(tuple(move[v] for v in f) for f in X.faces))
+        )
+    return cases
+
+
+def test_accessors_match_tuple_definitions():
+    for ground, faces in accessor_cases():
+        X = from_facets(
+            [f for f in faces if not any(set(f) < set(g) for g in faces)], ground=ground
+        ) if faces else SimplicialComplex.void(ground)
+        assert X.ground_set == ground
+        assert X.faces == faces
+        assert len(X) == len(faces)
+        for d in range(-2, len(ground) + 1):
+            assert X.faces_of_dim(d) == {f for f in faces if len(f) == d + 1}
+            assert X.n_faces(d) == len(X.faces_of_dim(d))
+        facets = sorted(f for f in faces if not any(set(f) < set(g) for g in faces))
+        assert list(X.facets()) == facets
+        assert X.support == {v for f in faces for v in f}
+        assert X.dim == (max(len(f) for f in faces) - 1 if faces else -2)
+        for f in faces:
+            assert f in X
+        for f in combinations(sorted(ground), 2):
+            assert (f in X) == (f in faces)
+        lines = [f"ground {len(ground)}"] + [" ".join(map(str, f)) for f in facets]
+        payload = "\n".join(lines + ([] if faces else ["void"]))
+        assert digest(X) == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        same = SimplicialComplex(ground, faces)
+        assert X == same and hash(X) == hash(same)
+        if facets:
+            smaller = SimplicialComplex(ground, faces - {facets[-1]})
+            assert X != smaller
+        assert X != SimplicialComplex(ground | {10**9 + 9}, faces)
+
+
+def test_link_join_relabel_and_dual_match_tuple_definitions():
+    for ground, faces in accessor_cases():
+        X = SimplicialComplex(ground, faces)
+        for v in sorted(ground):
+            rest = ground - {v}
+            link = {tuple(u for u in f if u != v) for f in faces if v in f}
+            deleted = {f for f in faces if v not in f}
+            assert link_and_del(X, v) == (
+                SimplicialComplex(rest, link), SimplicialComplex(rest, deleted)
+            )
+        other = from_facets([[10**9 + 11, 10**9 + 12], [3 * 10**9]])
+        joined = {tuple(sorted(f + g)) for f in faces for g in other.faces}
+        assert join(X, other) == SimplicialComplex(ground | other.ground_set, joined)
+        move = {v: 7 * v + 1 for v in ground}
+        moved = {tuple(sorted(move[u] for u in f)) for f in faces}
+        assert relabeled(X, move) == SimplicialComplex(set(move.values()), moved)
+        assert alexander_dual(X) == dual_by_enumeration(X)

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -118,7 +120,20 @@ def test_sphere_boundary_matrix_rank():
     mat = boundary_matrix(X, 2)
     assert mat.shape == (6, 4)
     assert fraction_rank(mat.dense()) == 3
-    assert columns_of(mat.dense()) == _boundary_columns(X, 2)
+    # the sparse columns are the same map, over the faces in mask order
+    rows = sorted(map(X.mask_of, mat.rows))
+    cols = sorted(map(X.mask_of, mat.cols))
+    sparse = {
+        (X.face_of(rows[r]), X.face_of(cols[j])): v
+        for j, col in enumerate(_boundary_columns(X, 2))
+        for r, v in col.items()
+    }
+    assert sparse == {
+        (f, g): mat.entries[r][j]
+        for r, f in enumerate(mat.rows)
+        for j, g in enumerate(mat.cols)
+        if mat.entries[r][j]
+    }
     assert len(smith_invariant_factors(_boundary_columns(X, 2))) == 3
 
 
@@ -422,3 +437,23 @@ def test_field_betti_is_pinned(field):
         for X in _pinned_complexes()
     )
     assert _sha256(lines) == BETTI_SHA256[field]
+
+
+def test_one_normal_form_per_complex():
+    # homology, is_acyclic and the duality check share the normal forms of
+    # X's boundary maps; only the dual's are computed on top of them
+    from anticollapse.duality import alexander_dual, check_alexander_duality
+
+    homology_module = importlib.import_module("anticollapse.homology")
+    rng = Random(23)
+    for make in [rp2, lambda: kruskal_generate(7, 2, 5), lambda: random_complex(rng, 7)]:
+        X = make()
+        dual = alexander_dual(X)
+        expected = (X.dim + 1) + max(dual.dim + 1, 0)
+        with mock.patch.object(
+            homology_module, "smith_invariant_factors", wraps=smith_invariant_factors
+        ) as spy:
+            homology(X)
+            is_acyclic(X, 2)
+            check_alexander_duality(X, 3)
+        assert spy.call_count == expected
