@@ -158,7 +158,7 @@ def cmd_survey(args) -> int:
 
 def cmd_construct(args) -> int:
     seed = _parse_seed(args.seed)
-    result = theorem2_construct(args.n, args.d, rng_seed=seed)
+    result = theorem2_construct(args.n, args.d)
     if isinstance(result, Refusal):
         print(str(result))
         return EXIT_REFUSAL
@@ -231,7 +231,7 @@ def cmd_reproduce(args) -> int:
         detail = ""
         try:
             for d in range(0, n):
-                result = theorem2_construct(n, d, rng_seed=7)
+                result = theorem2_construct(n, d)
                 if isinstance(result, Refusal):
                     continue
                 X, cert = result
@@ -330,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a no-free-face expandable witness")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--seed", required=True)
+    p.add_argument("--seed", required=True, help="echoed in the facet file "
+                   "header; no effect, as the witness and certificate depend on (n, d) only")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_construct)
 

@@ -79,6 +79,8 @@ class Certificate:
         try:
             payload = json.loads(text)
             kind = payload["kind"]
+            if kind not in (COLLAPSE, ANTICOLLAPSE):
+                raise InputError(f"unknown certificate kind {kind!r}")
             steps = tuple(
                 StepPair(make_face(free), make_face(coface), kind)
                 for free, coface in payload["steps"]

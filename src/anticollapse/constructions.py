@@ -9,7 +9,9 @@ The 8-vertex bases in dimensions 2 and 3 are discovered by randomized
 search over spanning complexes and shipped as golden files that are
 re-verified on load; the dimension-4 base is the dual of a bundled
 reference complex.  Higher cases follow by the double cone (n, d) ->
-(n+1, d+1) and the stacking move (n, 2) -> (n+1, 2).
+(n+1, d+1) and the stacking move (n, 2) -> (n+1, 2).  Both moves have
+explicit expansions, so every certificate is composed from the bases' with
+no search and depends on (n, d) only.
 """
 from __future__ import annotations
 
@@ -23,8 +25,10 @@ from random import Random
 from typing import Iterable, Optional, Union
 
 from .collapse import (
+    ANTICOLLAPSE,
     Certificate,
     Matching,
+    StepPair,
     core_erosion,
     free_faces,
     replay,
@@ -34,6 +38,7 @@ from .collapse import (
 from .complexes import (
     Face,
     SimplicialComplex,
+    digest,
     format_facet_file,
     from_facets,
     parse_facet_text,
@@ -577,28 +582,53 @@ ConstructionResult = Union[tuple[SimplicialComplex, Certificate], Refusal]
 
 
 @lru_cache(maxsize=None)
-def _construct_complex(n: int, d: int) -> SimplicialComplex:
-    """The witness complex for an admissible pair, built deterministically."""
+def _witness(n: int, d: int) -> tuple[SimplicialComplex, tuple[StepPair, ...]]:
+    """The witness for an admissible pair and its expansion steps to the
+    full simplex, composed from the 8-vertex bases by the two lemmas."""
     if n == 8:
-        if d == 2:
-            return load_base_case(2).complex
-        if d == 3:
-            return load_base_case(3).complex
-        return catalog("dual_Y28_2").complex  # d == 4
+        base = load_base_case(d) if d < 4 else catalog("dual_Y28_2")
+        return base.complex, base.certificate.steps
     if d >= 3:
-        inner = _construct_complex(n - 1, d - 1)
-        return double_cone(inner, min(inner.support))
-    inner = _construct_complex(n - 1, 2)
-    return stacking_move(inner, min(inner.faces_of_dim(2)))
+        # X = a*W[x->b] + b*W[x->a].  Each non-face S of X (equally, of W) off
+        # a and b, added with S + a, fills in the simplex on G - b; then W's
+        # expansion with x renamed a, coned over b, ends at the simplex on G.
+        W, inner = _witness(n - 1, d - 1)
+        x = min(W.support)
+        a, b = double_cone_labels(W, x)
+        X = double_cone(W, x)
+        rest = sorted(X.ground_set - {a, b})
+        steps = [_step(S, S + (a,)) for k in range(len(rest) + 1)
+                 for S in combinations(rest, k) if S not in W]
+        steps += [_step((b, *(a if u == x else u for u in s.free)),
+                        (b, *(a if u == x else u for u in s.coface))) for s in inner]
+        return X, tuple(steps)
+    # Stacking X = W - sigma + v*(boundary of sigma): put sigma back with
+    # sigma + v, expand W to the simplex on G - v, then add each missing
+    # face t + v together with t + v + w, w the least vertex of sigma.
+    W, inner = _witness(n - 1, 2)
+    sigma = min(W.faces_of_dim(2))
+    X = stacking_move(W, sigma)
+    (v,) = X.ground_set - W.ground_set
+    w = sigma[0]
+    rest = sorted(X.ground_set - {v, w})
+    steps = [_step(sigma, sigma + (v,)), *inner]
+    steps += [_step(t + (v,), t + (v, w)) for k in range(1, len(rest) + 1)
+              for t in combinations(rest, k) if not set(t) <= set(sigma)]
+    return X, tuple(steps)
 
 
-def theorem2_construct(n: int, d: int, rng_seed: int = 0) -> ConstructionResult:
+def _step(free: Iterable[int], coface: Iterable[int]) -> StepPair:
+    return StepPair(tuple(sorted(free)), tuple(sorted(coface)), ANTICOLLAPSE)
+
+
+def theorem2_construct(n: int, d: int) -> ConstructionResult:
     """Either a verified witness for (n, d) or a principled refusal.
 
     A witness is a d-dimensional complex on n vertices with zero free faces
     and a replayable expansion certificate to the full simplex.  Witnesses
     exist exactly for n >= 8 with 2 <= d <= n - 4; every other pair is
-    refused with the matching reason.
+    refused with the matching reason.  The certificate is composed from the
+    bases' by the double-cone and stacking lemmas: no search, (n, d) only.
     """
     if not isinstance(n, int) or not isinstance(d, int) or n < 1 or d < 0:
         raise InputError(f"need integers n >= 1 and d >= 0, got n={n}, d={d}")
@@ -610,26 +640,11 @@ def theorem2_construct(n: int, d: int, rng_seed: int = 0) -> ConstructionResult:
         return _refusal(REFUSE_TOP_DIMS)
     if n <= 7:
         return _refusal(REFUSE_SMALL_N)
-    X = _construct_complex(n, d)
+    X, steps = _witness(n, d)
     if X.dim != d or len(X.support) != n:
         raise RuntimeError(f"constructed witness has wrong shape for ({n}, {d})")
     if free_faces(X):
         raise RuntimeError(f"constructed witness for ({n}, {d}) has a free face")
-    certificate = _witness_certificate(n, d, rng_seed)
-    end = replay(X, certificate)
-    if not end.is_simplex():
-        raise RuntimeError(f"witness certificate for ({n}, {d}) does not replay")
+    certificate = Certificate(ANTICOLLAPSE, steps, digest(X), digest(SimplicialComplex.simplex(n)))
+    replay(X, certificate)  # the one replay, so a faulty composition fails here
     return X, certificate
-
-
-@lru_cache(maxsize=None)
-def _witness_certificate(n: int, d: int, rng_seed: int) -> Certificate:
-    X = _construct_complex(n, d)
-    if n == 8 and d in (2, 3):
-        return load_base_case(d).certificate
-    cert = is_anticollapsible(X, rng_seed=rng_seed, restarts=256)
-    if cert is None:
-        raise RuntimeError(
-            f"expansion search exhausted its budget on the ({n}, {d}) witness"
-        )
-    return cert

@@ -93,12 +93,12 @@ def test_criterion_3_witness_matrix():
     checked = 0
     for n in range(1, 8):
         for d in range(0, n + 1):
-            result = theorem2_construct(n, d, rng_seed=3)
+            result = theorem2_construct(n, d)
             assert isinstance(result, Refusal), f"({n},{d}) must refuse"
             checked += 1
     for n in range(8, 12):
         for d in range(0, n + 1):
-            result = theorem2_construct(n, d, rng_seed=3)
+            result = theorem2_construct(n, d)
             expected_witness = 2 <= d <= n - 4
             if expected_witness:
                 assert not isinstance(result, Refusal), f"({n},{d}) must construct"

@@ -10,6 +10,7 @@ import pytest
 from anticollapse.cli import EXIT_FAIL, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, main
 from anticollapse.complexes import (
     SimplicialComplex,
+    digest,
     format_facet_file,
     from_facets,
     read_facet_file,
@@ -129,6 +130,14 @@ def test_construct_writes_witness(tmp_path, capsys):
     assert main(["verify-cert", str(facets), str(cert)]) == EXIT_OK
 
 
+def test_construct_certificate_ignores_seed(tmp_path, capsys):
+    for seed in ("1", "2"):
+        argv = ["construct", "--n", "10", "--d", "4", "--seed", seed, "--out", str(tmp_path / seed)]
+        assert main(argv) == EXIT_OK
+    cert = "witness_10_4.cert"
+    assert (tmp_path / "1" / cert).read_bytes() == (tmp_path / "2" / cert).read_bytes()
+
+
 def test_construct_refusal_exit_code(tmp_path, capsys):
     code = main(["construct", "--n", "8", "--d", "5", "--seed", "1", "--out", str(tmp_path)])
     assert code == EXIT_REFUSAL
@@ -197,6 +206,15 @@ def test_verify_cert_rejects_malformed_digests(simplex_file, tmp_path, capsys, k
     payload = json.loads(cert_path.read_text())
     payload[key] = value
     cert_path.write_text(json.dumps(payload))
+    assert main(["verify-cert", simplex_file, str(cert_path)]) == EXIT_USAGE
+    assert "replay" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["bogus", "", None, ["collapse"]])
+def test_verify_cert_rejects_unknown_kind(simplex_file, tmp_path, capsys, kind):
+    start = digest(read_facet_file(simplex_file))
+    cert_path = tmp_path / "simplex.cert"
+    cert_path.write_text(json.dumps({"kind": kind, "start": start, "end": start, "steps": []}))
     assert main(["verify-cert", simplex_file, str(cert_path)]) == EXIT_USAGE
     assert "replay" not in capsys.readouterr().out
 

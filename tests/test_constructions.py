@@ -15,6 +15,7 @@ from anticollapse.collapse import (
 from anticollapse.complexes import SimplicialComplex, from_facets
 from anticollapse.constructions import (
     Refusal,
+    _witness,
     admissible,
     catalog,
     double_cone,
@@ -26,6 +27,7 @@ from anticollapse.constructions import (
     stacking_move,
     theorem2_construct,
 )
+from anticollapse import duality
 from anticollapse.duality import alexander_dual
 from anticollapse.errors import InputError, SearchBudgetExceeded
 from anticollapse.homology import homology
@@ -326,15 +328,15 @@ def test_golden_base_is_evasive():
 
 
 def test_refusal_reasons():
-    assert theorem2_construct(8, 5, rng_seed=0) == Refusal(
+    assert theorem2_construct(8, 5) == Refusal(
         "d>=n-3",
         "any contractible complex on n vertices of dimension at least n-3 "
         "has a free face",
     )
-    assert isinstance(theorem2_construct(12, 1, rng_seed=0), Refusal)
-    assert theorem2_construct(12, 1, rng_seed=0).reason == "d=1"
-    assert theorem2_construct(9, 0, rng_seed=0).reason == "d=0"
-    assert theorem2_construct(6, 2, rng_seed=0).reason == "n<=7"
+    assert isinstance(theorem2_construct(12, 1), Refusal)
+    assert theorem2_construct(12, 1).reason == "d=1"
+    assert theorem2_construct(9, 0).reason == "d=0"
+    assert theorem2_construct(6, 2).reason == "n<=7"
 
 
 def test_constructor_validates_input():
@@ -347,14 +349,14 @@ def test_constructor_validates_input():
 def test_partition_matches_closed_form():
     for n in range(1, 13):
         for d in range(0, n + 2):
-            result = theorem2_construct(n, d, rng_seed=0) if not admissible(n, d) else None
+            result = theorem2_construct(n, d) if not admissible(n, d) else None
             if result is not None:
                 assert isinstance(result, Refusal), (n, d)
             assert admissible(n, d) == (n >= 8 and 2 <= d <= n - 4)
 
 
 def test_witness_10_4():
-    result = theorem2_construct(10, 4, rng_seed=11)
+    result = theorem2_construct(10, 4)
     assert not isinstance(result, Refusal)
     X, cert = result
     assert X.dim == 4
@@ -364,16 +366,31 @@ def test_witness_10_4():
 
 
 def test_witness_deterministic_complex():
-    a = theorem2_construct(9, 3, rng_seed=5)
-    b = theorem2_construct(9, 3, rng_seed=5)
-    assert a[0] == b[0]
+    a = theorem2_construct(9, 3)
+    _witness.cache_clear()
+    b = theorem2_construct(9, 3)
+    assert a == b
+
+
+def test_witnesses_compose_without_search(monkeypatch):
+    # the bases come first: the dimension-4 one is found by a seeded search
+    load_base_case(2), load_base_case(3), catalog("dual_Y28_2")
+    _witness.cache_clear()
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the constructor must not search")
+
+    monkeypatch.setattr(duality, "_collapse_masks", no_search)
+    for d in range(2, 8):
+        X, cert = theorem2_construct(11, d)
+        assert replay(X, cert).is_simplex()
 
 
 def test_witnesses_are_integrally_acyclic():
     # expandable to the simplex means simple-homotopy trivial, so the
     # homology computation must come back empty on every route
     for n, d in ((9, 3), (9, 4), (10, 2)):
-        X, _ = theorem2_construct(n, d, rng_seed=5)
+        X, _ = theorem2_construct(n, d)
         assert homology(X).is_trivial()
 
 
@@ -381,7 +398,7 @@ def test_witnesses_are_integrally_acyclic():
 def test_witness_matrix_through_twelve():
     for n in range(8, 13):
         for d in range(2, n - 3):
-            result = theorem2_construct(n, d, rng_seed=2)
+            result = theorem2_construct(n, d)
             assert not isinstance(result, Refusal)
             X, cert = result
             assert X.dim == d and len(X.support) == n

@@ -18,7 +18,7 @@ from anticollapse.collapse import (
     random_discrete_morse,
 )
 from anticollapse.complexes import SimplicialComplex, from_facets
-from anticollapse.constructions import _construct_complex, theorem2_construct
+from anticollapse.constructions import _witness, theorem2_construct
 from anticollapse.duality import alexander_dual
 from anticollapse.hypertrees import is_hypertree, kruskal_generate
 
@@ -102,7 +102,7 @@ def test_greedy_runs_on_random_complexes():
 def test_greedy_runs_on_witness_duals():
     with checked_moves() as count:
         for d in range(2, 7):
-            dual = alexander_dual(_construct_complex(10, d))
+            dual = alexander_dual(_witness(10, d)[0])
             _collapse_masks(_Workbench(dual), d, restarts=1, backtrack=False)
     assert count[0] > 2000
 
@@ -151,20 +151,21 @@ def test_free_face_count_of_hypertree_report():
         assert is_hypertree(X, d).free_face_count == len(free_faces(X))
 
 
-# sha256 of theorem2_construct(10, d, rng_seed=1)[1].to_json() before the
-# search ran on the index; the index must not change a single draw.
+# sha256 of theorem2_construct(10, d)[1].to_json(): the certificates composed
+# from the base certificates by the double-cone and stacking lemmas.  They
+# depend on (n, d) only and involve no search.
 WITNESS_CERT_SHA256 = {
-    2: "a557030a7de3f3064a120e80cac2dbf7ef6dffd7b14bc9b508adb4e82a53d892",
-    3: "a6397c91fb2727db99491b24a08e6168a393ef2aca78bfb8bcd480f3138d4f0a",
-    4: "aebd28b473daa67df8df42d5b53ed777747f0ff825146df715943f0d9c799216",
-    5: "04080a1afa5fbadfdd1fbae818c52537acd67e03739bf56c93c39cd7d13a1c31",
-    6: "12f1cb45cf21e93d59b1cafef73d25670b6cccee8796e1d7786fee8ef43ace79",
+    2: "5b0c3f0b0c92777a4f4e37faa5ee1d1f9f3ee12c529264d9ad8c803e279a710c",
+    3: "b23769a9598e571c4258a76891822dad1a63e41c53ec16bbc0f84166a0792398",
+    4: "28008271f521925c6079edd1d4244211c6f1559f9ba46fadd49790d67d3b0e93",
+    5: "e1efde1ad67bca6912ff304e30457a6d36c0b982102383d18dccbc4d170faace",
+    6: "b53840858415b4570a595d744b32efca6e5d3189c41fe4820dda0b186663e954",
 }
 
 
 def test_witness_certificates_pinned():
     for d, expected in WITNESS_CERT_SHA256.items():
-        cert = theorem2_construct(10, d, rng_seed=1)[1]
+        cert = theorem2_construct(10, d)[1]
         assert hashlib.sha256(cert.to_json().encode()).hexdigest() == expected
 
 
@@ -180,7 +181,7 @@ MORSE_PINS = {
 
 def test_random_discrete_morse_pinned():
     for (n, d, seed), (counts, expected) in MORSE_PINS.items():
-        dual = alexander_dual(_construct_complex(n, d))
+        dual = alexander_dual(_witness(n, d)[0])
         vector, matching = random_discrete_morse(dual, rng_seed=seed)
         assert vector.counts == counts
         assert hashlib.sha256(repr(sorted(matching.pairs)).encode()).hexdigest() == expected
