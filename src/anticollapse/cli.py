@@ -361,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"unreadable input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -151,14 +151,13 @@ class MorseVector:
 
 
 class _Workbench:
-    __slots__ = ("base", "faces", "by_size", "deg", "all_bits", "free", "buckets")
+    __slots__ = ("base", "faces", "deg", "all_bits", "free", "buckets")
 
     def __init__(self, X: SimplicialComplex):
         self.base = X  # fixes the ground set and names faces in messages
         self.all_bits = (1 << len(X.ground_set)) - 1
         self.faces: set[int] = set(X._masks)
         self.faces.discard(0)
-        self.by_size = {k: set(ms) for k, ms in X._by_size.items() if k}
         self.deg: dict[int, int] = dict.fromkeys(self.faces, 0)
         self.free: Optional[dict[int, int]] = None  # free face -> coface
         self.buckets: dict[int, list[int]] = {}  # coface size -> sorted free faces
@@ -175,7 +174,6 @@ class _Workbench:
         new = _Workbench.__new__(_Workbench)
         new.base, new.all_bits = self.base, self.all_bits
         new.faces = set(self.faces)
-        new.by_size = {k: set(fs) for k, fs in self.by_size.items()}
         new.deg = dict(self.deg)
         new.free, new.buckets = None, {}
         if self.free is not None:
@@ -183,13 +181,8 @@ class _Workbench:
             new.buckets = {k: ts[:] for k, ts in self.buckets.items()}
         return new
 
-    def max_size(self) -> int:
-        sizes = [s for s, fs in self.by_size.items() if fs]
-        return max(sizes) if sizes else 0
-
     def _insert(self, m: int) -> None:
         self.faces.add(m)
-        self.by_size.setdefault(m.bit_count(), set()).add(m)
         self.deg.setdefault(m, 0)
         indexed = self.free is not None
         rest = m
@@ -204,7 +197,6 @@ class _Workbench:
 
     def _remove(self, m: int) -> None:
         self.faces.discard(m)
-        self.by_size[m.bit_count()].discard(m)
         indexed = self.free is not None
         rest = m
         while rest:
@@ -408,7 +400,7 @@ def _core_erosion(wb: _Workbench, d: int, rng_seed: int | None = None) -> bool:
         raise InputError("erosion needs a complex of dimension at least 1")
     rng = Random(rng_seed) if rng_seed is not None else None
     top = d + 1  # mask size of d-faces
-    candidates = sorted(m for m in wb.by_size.get(top - 1, ()) if wb.deg.get(m, 0) == 1)
+    candidates = sorted(m for m in wb.faces if m.bit_count() == d and wb.deg[m] == 1)
     while candidates:
         if rng is None:
             t = candidates.pop()
@@ -425,7 +417,7 @@ def _core_erosion(wb: _Workbench, d: int, rng_seed: int | None = None) -> bool:
             sub = c ^ b
             if sub != t and wb.deg.get(sub, 0) == 1:
                 candidates.append(sub)
-    return not wb.by_size.get(top)
+    return all(m.bit_count() < top for m in wb.faces)
 
 
 def _greedy_collapse(wb: _Workbench, rng: Random) -> Optional[list[tuple[int, int]]]:
@@ -467,19 +459,19 @@ def _backtrack_collapse(wb: _Workbench, node_budget: int) -> Optional[list[tuple
     return recurse()
 
 
+_BACKTRACK_FACE_LIMIT = 25  # faces above the vertices, or no backtracking
+_BACKTRACK_NODE_BUDGET = 50_000
+
+
 def _collapse_masks(
-    wb: _Workbench,
-    rng_seed: int,
-    restarts: int,
-    backtrack: bool,
-    backtrack_face_limit: int = 25,
-    backtrack_node_budget: int = 50_000,
+    wb: _Workbench, rng_seed: int, restarts: int, backtrack: bool
 ) -> Optional[tuple[_Workbench, list[tuple[int, int]]]]:
     """The search behind search_collapse, without building a certificate:
-    the end workbench and mask steps of a full collapse, or None.  wb is
-    left as it was, apart from its index, which gets built.
+    the end workbench and mask steps of a full collapse, or None.  wb must
+    hold a vertex and is left as it was, apart from its index, which gets
+    built.  Backtracking runs only up to _BACKTRACK_FACE_LIMIT faces.
     """
-    if not wb.by_size.get(1):
+    if not wb.faces:
         raise InputError("collapse search needs at least one vertex")
     wb.free_index()
     rng = Random(rng_seed)
@@ -488,10 +480,9 @@ def _collapse_masks(
         steps = _greedy_collapse(run, rng)
         if steps is not None:
             return run, steps
-    faces_above_0 = len(wb.faces) - len(wb.by_size[1])
-    if backtrack and 0 < faces_above_0 <= backtrack_face_limit:
+    if backtrack and 0 < sum(1 for m in wb.faces if m & (m - 1)) <= _BACKTRACK_FACE_LIMIT:
         run = wb.copy()
-        steps = _backtrack_collapse(run, backtrack_node_budget)
+        steps = _backtrack_collapse(run, _BACKTRACK_NODE_BUDGET)
         if steps is not None:
             for t, c in steps:
                 run.collapse(t, c)
@@ -500,12 +491,7 @@ def _collapse_masks(
 
 
 def search_collapse(
-    X: SimplicialComplex,
-    rng_seed: int = 0,
-    restarts: int = 64,
-    backtrack: bool = True,
-    backtrack_face_limit: int = 25,
-    backtrack_node_budget: int = 50_000,
+    X: SimplicialComplex, rng_seed: int = 0, restarts: int = 64, backtrack: bool = True
 ) -> Optional[Certificate]:
     """Look for a full collapse of X to a single vertex.
 
@@ -514,20 +500,13 @@ def search_collapse(
     backtracking on small complexes.  Absence of a certificate is not a
     proof of non-collapsibility.
     """
-    found = _collapse_masks(
-        _Workbench(X), rng_seed, restarts, backtrack, backtrack_face_limit, backtrack_node_budget
-    )
+    found = _collapse_masks(_Workbench(X), rng_seed, restarts, backtrack)
     if found is None:
         return None
-    return _certificate_from_masks(X, *found)
-
-
-def _certificate_from_masks(
-    X: SimplicialComplex, end_wb: _Workbench, steps: list[tuple[int, int]]
-) -> Certificate:
+    end, steps = found
     face = X.face_of
     pairs = tuple(StepPair(face(t), face(c), COLLAPSE) for t, c in steps)
-    return Certificate(COLLAPSE, pairs, digest(X), digest(end_wb.to_complex()))
+    return Certificate(COLLAPSE, pairs, digest(X), digest(end.to_complex()))
 
 
 def random_discrete_morse(
@@ -557,7 +536,8 @@ def random_discrete_morse(
             wb.collapse(t, c)
             pairs.append((X.face_of(t), X.face_of(c)))
         else:
-            top = sorted(wb.by_size[wb.max_size()])
+            size = max(m.bit_count() for m in wb.faces)
+            top = sorted(m for m in wb.faces if m.bit_count() == size)
             victim = top[rng.randrange(len(top))]
             counts[victim.bit_count() - 1] += 1
             wb._remove(victim)

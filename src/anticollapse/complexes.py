@@ -382,7 +382,8 @@ def parse_facet_text(text: str) -> SimplicialComplex:
     One facet per line as space-separated positive integers.  Lines starting
     with '#' are comments.  An optional first directive line "ground n" fixes
     the ground set to {1..n}; otherwise the ground set is the support.  A
-    single directive line "void" denotes the complex with no faces.
+    single directive line "void" denotes the complex with no faces.  Each
+    directive may appear at most once.
     """
     ground: frozenset[int] | None = None
     facets: list[Face] = []
@@ -395,12 +396,16 @@ def parse_facet_text(text: str) -> SimplicialComplex:
         if line.startswith("ground"):
             if saw_data:
                 raise InputError("'ground' directive must precede the facets")
+            if ground is not None:
+                raise InputError("'ground' directive given twice")
             parts = line.split()
             if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
                 raise InputError(f"bad ground directive: {line!r}")
             ground = frozenset(range(1, int(parts[1]) + 1))
             continue
         if line == "void":
+            if is_void:
+                raise InputError("'void' directive given twice")
             is_void = True
             saw_data = True
             continue

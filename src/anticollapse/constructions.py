@@ -46,8 +46,9 @@ from .complexes import (
 )
 from .duality import alexander_dual, dual_certificate, is_anticollapsible
 from .errors import InputError, SearchBudgetExceeded
-from .homology import IncrementalRank, boundary_column, homology
-from .hypertrees import kruskal_generate, spanning_torsion_order
+from .homology import IncrementalRank, _mask_column, homology
+from .hypertrees import (_with_full_skeleton, complete_skeleton, kruskal_generate,
+                         spanning_torsion_order)
 
 # -- bundled reference complexes ---------------------------------------
 #
@@ -297,46 +298,43 @@ def stacking_move(X: SimplicialComplex, sigma: Face) -> SimplicialComplex:
 # -- randomized discovery of the 8-vertex bases ------------------------
 
 
-def _spanning_basis_anneal(
-    n: int,
-    d: int,
-    rng: Random,
-    objective,
-    max_steps: int = 6000,
-    uphill: float = 0.03,
-    candidate_window: int = 14,
-) -> Optional[list[Face]]:
+_ANNEAL_MAX_STEPS = 6000
+_ANNEAL_UPHILL = 0.03  # chance of accepting a worse basis
+_ANNEAL_WINDOW = 14  # candidates tried per move
+
+
+def _spanning_basis_anneal(n: int, d: int, rng: Random, objective) -> Optional[list[int]]:
     """Walk the spanning-complex exchange graph, driving an objective to zero.
 
     One move swaps a kept top face for an unused one while preserving full
     boundary rank, accepting improvements and an occasional uphill step.
+    Faces are masks, in the order of complete_skeleton where draws index.
     """
-    rows = sorted(combinations(range(1, n + 1), d))
-    row_index = {f: i for i, f in enumerate(rows)}
-    all_faces = list(combinations(range(1, n + 1), d + 1))
-    columns = {f: boundary_column(f, row_index) for f in all_faces}
+    row_index = {m: i for i, m in enumerate(complete_skeleton(n, d - 1))}
+    all_faces = complete_skeleton(n, d)
+    columns = {m: _mask_column(m, row_index) for m in all_faces}
 
     start = kruskal_generate(n, d, rng.randrange(1 << 60))
-    basis = sorted(start.faces_of_dim(d))
+    basis = [m for m in all_faces if m in start._masks]
     basis_set = set(basis)
     score = objective(basis_set)
     steps = 0
-    while score > 0 and steps < max_steps:
+    while score > 0 and steps < _ANNEAL_MAX_STEPS:
         steps += 1
         i = rng.randrange(len(basis))
         rest = basis[:i] + basis[i + 1 :]
         state = IncrementalRank()
-        for f in rest:
-            state.add(columns[f])
-        outside = [f for f in all_faces if f not in basis_set]
+        for m in rest:
+            state.add(columns[m])
+        outside = [m for m in all_faces if m not in basis_set]
         rng.shuffle(outside)
-        for cand in outside[:candidate_window]:
+        for cand in outside[:_ANNEAL_WINDOW]:
             if not state.reduce(columns[cand]):
                 continue  # would drop the rank
             trial_set = set(rest)
             trial_set.add(cand)
             trial_score = objective(trial_set)
-            if trial_score <= score or rng.random() < uphill:
+            if trial_score <= score or rng.random() < _ANNEAL_UPHILL:
                 basis = rest + [cand]
                 basis_set = trial_set
                 score = trial_score
@@ -344,26 +342,29 @@ def _spanning_basis_anneal(
     return basis if score == 0 else None
 
 
-def _free_edge_count(n: int):
-    def objective(basis_set) -> int:
-        degree: dict[Face, int] = {}
-        for f in basis_set:
-            for e in combinations(f, len(f) - 1):
-                degree[e] = degree.get(e, 0) + 1
-        return sum(1 for c in degree.values() if c == 1)
-
-    return objective
+def _free_edge_count(basis_set) -> int:
+    degree: dict[int, int] = {}
+    for m in basis_set:
+        rest = m
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            degree[m ^ b] = degree.get(m ^ b, 0) + 1
+    return sum(1 for c in degree.values() if c == 1)
 
 
 def _expansion_move_count(n: int, d: int):
-    cofaces = list(combinations(range(1, n + 1), d + 2))
+    cofaces = complete_skeleton(n, d + 1)
 
     def objective(basis_set) -> int:
         moves = 0
         for s in cofaces:
             missing = 0
-            for j in range(len(s)):
-                if s[:j] + s[j + 1 :] not in basis_set:
+            rest = s
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if s ^ b not in basis_set:
                     missing += 1
                     if missing > 1:
                         break
@@ -372,11 +373,6 @@ def _expansion_move_count(n: int, d: int):
         return moves
 
     return objective
-
-
-def _spanning_complex(n: int, d: int, basis: Iterable[Face]) -> SimplicialComplex:
-    lower = list(combinations(range(1, n + 1), d)) if d >= 2 else []
-    return from_facets(list(basis) + lower, ground=range(1, n + 1))
 
 
 def find_base_case(
@@ -396,14 +392,13 @@ def find_base_case(
     rng = Random(rng_seed)
     stats = {"attempts": 0, "annealed": 0, "torsion_rejects": 0, "expansion_rejects": 0}
     started = time.time()
-    objective = _free_edge_count(n)
     for _ in range(budget):
         stats["attempts"] += 1
-        basis = _spanning_basis_anneal(n, 2, rng, objective)
+        basis = _spanning_basis_anneal(n, 2, rng, _free_edge_count)
         if basis is None:
             continue
         stats["annealed"] += 1
-        X = _spanning_complex(n, 2, basis)
+        X = _with_full_skeleton(n, 2, basis)
         if X.support != frozenset(range(1, n + 1)) or free_faces(X):
             continue
         if spanning_torsion_order(X, 2) != 1:
@@ -456,7 +451,7 @@ def find_dim3_base(
         if basis is None:
             continue
         stats["annealed"] += 1
-        X = _spanning_complex(n, 3, basis)
+        X = _with_full_skeleton(n, 3, basis)
         if spanning_torsion_order(X, 3) != 1:
             stats["torsion_rejects"] += 1
             continue

@@ -6,14 +6,17 @@ complex with no faces, and the complex with only the empty face dualizes to
 the full boundary) makes the construction an exact involution.
 
 Every elementary collapse on X transports to an elementary anticollapse on
-the dual, which is how expansion certificates are produced here.  Only
-callers that print or store an expansion certificate get one built:
-classification asks whether the dual collapses and builds no certificate.
+the dual, which is how expansion certificates are produced here: on the
+face masks, a collapse (t, c) of the dual is the anticollapse
+(full ^ c, full ^ t), full being the ground set's mask.  The transported
+certificate is replayed once, on the complex it expands.  Only callers that
+print or store an expansion certificate get one built: classification asks
+whether the dual collapses and builds no certificate.
 """
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional
+from typing import Collection, Iterable, Optional
 
 from .collapse import (
     ANTICOLLAPSE,
@@ -21,16 +24,10 @@ from .collapse import (
     Certificate,
     StepPair,
     _Workbench,
-    _certificate_from_masks,
     _collapse_masks,
     replay,
 )
-from .complexes import (
-    Face,
-    SimplicialComplex,
-    digest,
-    from_facets,
-)
+from .complexes import Face, SimplicialComplex, digest
 from .errors import InputError
 from .homology import _betti_numbers, _check_ring
 
@@ -95,24 +92,28 @@ def dual_certificate(X: SimplicialComplex, cert: Certificate) -> Certificate:
     """
     if cert.kind != COLLAPSE:
         raise InputError("only collapse certificates are transported")
-    return _transport(X, cert, alexander_dual(X))
+    end = replay(X, cert)  # the certificate is outside input
+    steps = [(X.mask_of(s.free), X.mask_of(s.coface)) for s in cert.steps]
+    return _transport(alexander_dual(X), steps, end._masks)
 
 
-def _transport(X: SimplicialComplex, cert: Certificate, start: SimplicialComplex) -> Certificate:
-    """dual_certificate, given start, the dual of X, by a caller that has it."""
-    end = replay(X, cert)  # validates the input certificate
-    ground = X.ground_set
-    steps = [dual_step(s, ground) for s in cert.steps]
-    if len(end) == 2 and end.n_faces(0) == 1:
-        # ends at a lone vertex v: append the dual of the trivial collapse,
-        # adding the missing (n-2)-face and the top face
-        (v,) = next(iter(end.faces_of_dim(0)))
-        whole = tuple(sorted(ground))
-        steps.append(StepPair(tuple(sorted(ground - {v})), whole, ANTICOLLAPSE))
-        final = from_facets([whole], ground=ground)
-    else:
-        final = alexander_dual(end)
-    transported = Certificate(ANTICOLLAPSE, tuple(steps), digest(start), digest(final))
+def _transport(
+    start: SimplicialComplex, mask_steps: Iterable[tuple[int, int]], end_masks: Collection[int]
+) -> Certificate:
+    """The expansion of start whose steps complement the collapse steps
+    (t, c) of its dual, replayed once.  end_masks are the faces where the
+    collapse stops; a lone vertex v gets the trivial collapse (0, v), whose
+    complement adds the top face, and the void end dualizes to the simplex.
+    """
+    full = (1 << len(start.ground_set)) - 1
+    steps = list(mask_steps)
+    if len(end_masks) == 2:  # the empty face and one vertex
+        steps.append((0, max(end_masks)))
+        end_masks = ()
+    face = start.face_of
+    pairs = tuple(StepPair(face(full ^ c), face(full ^ t), ANTICOLLAPSE) for t, c in steps)
+    end = alexander_dual(SimplicialComplex._from_masks(start.ground_set, end_masks))
+    transported = Certificate(ANTICOLLAPSE, pairs, digest(start), digest(end))
     replay(start, transported)
     return transported
 
@@ -123,15 +124,14 @@ def _dual_collapse(
     rng_seed: int,
     restarts: int,
     backtrack: bool,
-) -> Optional[tuple]:
+) -> Optional[tuple[_Workbench, list[tuple[int, int]]]]:
     """Whether the dual of X, given as its workbench, collapses: the
     search's end workbench and mask steps on the dual, None when no collapse
-    was found, and (None, []) for the full simplex, whose void dual needs no
-    step.
+    was found, and the void workbench with no step for the full simplex.
     """
     if X.is_simplex():
-        return None, []
-    if not dual_wb.by_size.get(1):
+        return dual_wb, []
+    if not dual_wb.faces:
         return None  # dual carries no vertex, nothing can collapse
     return _collapse_masks(dual_wb, rng_seed, restarts, backtrack)
 
@@ -150,13 +150,11 @@ def is_anticollapsible(
     """
     if not len(X):
         raise InputError("expansion search needs a nonvoid complex")
-    dual = alexander_dual(X)
-    found = _dual_collapse(X, _Workbench(dual), rng_seed, restarts, backtrack)
+    found = _dual_collapse(X, _Workbench(alexander_dual(X)), rng_seed, restarts, backtrack)
     if found is None:
         return None
-    if found[0] is None:  # X is the full simplex
-        return Certificate(ANTICOLLAPSE, (), digest(X), digest(X))
-    return _transport(dual, _certificate_from_masks(dual, *found), X)
+    end, steps = found
+    return _transport(X, steps, end.to_complex()._masks)
 
 
 def check_alexander_duality(X: SimplicialComplex, field: int | str = "Q") -> bool:

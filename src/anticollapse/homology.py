@@ -38,15 +38,6 @@ class BoundaryMatrix:
         return [list(row) for row in self.entries]
 
 
-def boundary_column(face: Face, row_index: dict[Face, int]) -> dict[int, int]:
-    """Sparse boundary of one face: alternating signs over its facets."""
-    col: dict[int, int] = {}
-    for j in range(len(face)):
-        sub = face[:j] + face[j + 1 :]
-        col[row_index[sub]] = -1 if j % 2 else 1
-    return col
-
-
 def _mask_column(m: int, row_index: dict[int, int]) -> dict[int, int]:
     """Sparse boundary of one face mask over the rows in row_index; a
     facet of the face that has no row is left out."""
@@ -80,12 +71,10 @@ def boundary_matrix(X: SimplicialComplex, i: int) -> BoundaryMatrix:
         raise InputError("boundary maps are indexed by i >= 0")
     rows = tuple(sorted(X.faces_of_dim(i - 1)))
     cols = tuple(sorted(X.faces_of_dim(i)))
-    row_index = {f: k for k, f in enumerate(rows)}
-    dense = [[0] * len(cols) for _ in rows]
-    for j, face in enumerate(cols):
-        for r, sign in boundary_column(face, row_index).items():
-            dense[r][j] = sign
-    return BoundaryMatrix(rows, cols, tuple(tuple(r) for r in dense))
+    row_index = {X.mask_of(f): k for k, f in enumerate(rows)}
+    columns = [_mask_column(X.mask_of(f), row_index) for f in cols]
+    entries = tuple(tuple(col.get(r, 0) for col in columns) for r in range(len(rows)))
+    return BoundaryMatrix(rows, cols, entries)
 
 
 # -- exact elimination -------------------------------------------------
@@ -384,9 +373,8 @@ def adds_top_cycle(X: SimplicialComplex, sigma: Face) -> bool:
     for sub in combinations(sigma, d):
         if sub not in X:
             raise InputError(f"boundary face {sub} of {sigma} is missing")
-    rows = tuple(sorted(X.faces_of_dim(d - 1)))
-    row_index = {f: k for k, f in enumerate(rows)}
+    row_index = {m: k for k, m in enumerate(sorted(X._by_size.get(d, ())))}
     state = IncrementalRank()
-    for face in sorted(X.faces_of_dim(d)):
-        state.add(boundary_column(face, row_index))
-    return not state.add(boundary_column(sigma, row_index))
+    for m in sorted(X._by_size.get(d + 1, ())):
+        state.add(_mask_column(m, row_index))
+    return not state.add(_mask_column(X.mask_of(sigma), row_index))

@@ -19,17 +19,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
 from random import Random
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .collapse import _Workbench, _collapse_masks, _core_erosion
-from .complexes import Face, SimplicialComplex, from_facets
+from .complexes import SimplicialComplex
 from .duality import _dual_collapse, alexander_dual
 from .errors import InputError, SizeError
 from .homology import (
     HomologyProfile,
     IncrementalRank,
     _mask_column,
-    boundary_column,
     homology,
     smith_invariant_factors,
 )
@@ -43,9 +42,17 @@ def _derive_seed(master: int, counter: int) -> int:
     return (master * 6364136223846793005 + counter * 1442695040888963407 + 1) % (1 << 63)
 
 
-def complete_skeleton(n: int, d: int) -> list[Face]:
-    """Facets of the complete d-skeleton on {1..n}."""
-    return list(combinations(range(1, n + 1), d + 1))
+def complete_skeleton(n: int, d: int) -> list[int]:
+    """Masks of the d-faces on {1..n} (bit i is vertex i + 1) in the
+    lexicographic order of their vertex tuples, which seeded draws index:
+    (1, 4) = 0b1001 comes before (2, 3) = 0b0110."""
+    return [sum(c) for c in combinations([1 << i for i in range(n)], d + 1)]
+
+
+def _with_full_skeleton(n: int, d: int, tops: Iterable[int]) -> SimplicialComplex:
+    """The complete (d-1)-skeleton on {1..n} together with the top masks."""
+    lower = (m for k in range(d) for m in complete_skeleton(n, k))
+    return SimplicialComplex._from_masks(range(1, n + 1), {0, *lower, *tops})
 
 
 def kruskal_generate(n: int, d: int, rng_seed: int) -> SimplicialComplex:
@@ -60,20 +67,18 @@ def kruskal_generate(n: int, d: int, rng_seed: int) -> SimplicialComplex:
     rng = Random(rng_seed)
     candidates = complete_skeleton(n, d)
     rng.shuffle(candidates)
-    rows = sorted(combinations(range(1, n + 1), d))
-    row_index = {f: i for i, f in enumerate(rows)}
+    row_index = {m: i for i, m in enumerate(complete_skeleton(n, d - 1))}
     state = IncrementalRank()
     target = comb(n - 1, d)
-    accepted: list[Face] = []
+    accepted: list[int] = []
     for sigma in candidates:
         if len(accepted) == target:
             break
-        if state.add(boundary_column(sigma, row_index)):
+        if state.add(_mask_column(sigma, row_index)):
             accepted.append(sigma)
     if len(accepted) != target:
         raise RuntimeError("candidate pool exhausted before the spanning count")
-    facets = accepted + ([] if d == 1 else complete_skeleton(n, d - 1))
-    return from_facets(facets, ground=range(1, n + 1))
+    return _with_full_skeleton(n, d, accepted)
 
 
 def spanning_torsion_order(X: SimplicialComplex, d: int) -> int:
@@ -214,12 +219,11 @@ def kalai_check(n: int, d: int) -> tuple[int, int, bool]:
             f"exhaustive enumeration guard: C({n},{d + 1}) = {total_candidates} > 25"
         )
     target = comb(n - 1, d)
-    row_index = {f: i for i, f in enumerate(combinations(range(1, n + 1), d))}
-    all_faces = complete_skeleton(n, d)
-    columns = {f: boundary_column(f, row_index) for f in all_faces}
+    row_index = {m: i for i, m in enumerate(complete_skeleton(n, d - 1))}
+    columns = [_mask_column(m, row_index) for m in complete_skeleton(n, d)]
     weighted_sum = 0
-    for subset in combinations(all_faces, target):
-        factors = smith_invariant_factors([columns[f] for f in subset])
+    for subset in combinations(columns, target):
+        factors = smith_invariant_factors(list(subset))
         if len(factors) == target:  # full rank: rationally acyclic
             weighted_sum += prod(factors) ** 2
     expected = n ** comb(n - 2, d)

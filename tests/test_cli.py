@@ -167,6 +167,28 @@ def test_bad_input_file(tmp_path, capsys):
     assert main(["homology", str(path)]) == EXIT_USAGE
 
 
+def test_repeated_ground_directive_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "twice.facets"
+    path.write_text("ground 5\nground 3\n1 2\n", encoding="utf-8")
+    assert main(["homology", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("case", ["undecodable facets", "undecodable cert", "directory", "out is a file"])
+def test_unreadable_input_is_usage_error(case, simplex_file, tmp_path, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe 1 2\n")
+    argv = {
+        "undecodable facets": ["homology", str(binary)],
+        "undecodable cert": ["verify-cert", simplex_file, str(binary)],
+        "directory": ["homology", str(tmp_path)],
+        "out is a file": ["construct", "--n", "8", "--d", "2", "--seed", "1", "--out", str(binary)],
+    }[case]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_reproduce_quick(capsys):
     assert main(["reproduce", "--quick"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -247,6 +247,21 @@ def test_facet_file_rejects_bad_lines():
         parse_facet_text("1 2\nground 3\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ground 5\nground 3\n1 2\n",
+        "ground 3\nground 3\n1 2\n",
+        "ground 3\nvoid\nvoid\n",
+        "void\nvoid\n",
+    ],
+)
+def test_facet_file_rejects_repeated_directives(text):
+    # a second ground or void line contradicts or repeats the first
+    with pytest.raises(InputError):
+        parse_facet_text(text)
+
+
 def test_euler_characteristic():
     assert SimplicialComplex.simplex(4).euler_characteristic() == 0
     # reduced: a circle gives -1, a 2-sphere gives +1

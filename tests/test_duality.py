@@ -2,19 +2,22 @@
 from __future__ import annotations
 
 from random import Random
+from unittest import mock
 
 import pytest
 
+from anticollapse import duality
 from anticollapse.collapse import (
     ANTICOLLAPSE,
     COLLAPSE,
+    Certificate,
     StepPair,
     apply_step,
     free_faces,
     replay,
     search_collapse,
 )
-from anticollapse.complexes import SimplicialComplex, from_facets
+from anticollapse.complexes import SimplicialComplex, digest, from_facets, relabeled
 from anticollapse.duality import (
     alexander_dual,
     check_alexander_duality,
@@ -171,6 +174,53 @@ def test_anticollapse_certificates_on_random_collapsibles(rng):
         end = replay(X, cert)
         assert end.is_simplex()
         done += 1
+
+
+def test_is_anticollapsible_replays_once():
+    # the search's mask steps go straight into the transport, whose one
+    # replay validates the expansion; nothing else is replayed
+    X = from_facets([[1, 3], [2, 3], [3, 4, 5]])
+    with mock.patch.object(duality, "replay", wraps=replay) as spy:
+        cert = is_anticollapsible(X, rng_seed=1)
+    assert cert is not None
+    assert spy.call_count == 1
+    assert replay(X, cert).is_simplex()
+
+
+def test_dual_certificate_steps_are_dual_steps(rng):
+    # dual_step states the step-duality lemma one move at a time; the
+    # transport must give exactly its image of every input step, finished
+    # by the complement (G - v, G) of the trivial collapse when the input
+    # ends at a lone vertex v.  Labels are spread out and shifted so that
+    # they differ from the bit positions.
+    checked = 0
+    while checked < 30:
+        X = random_complex(rng, max_vertices=7)
+        shift = rng.randrange(4)
+        X = relabeled(X, {v: 2 * v + shift for v in X.ground_set})
+        cert = search_collapse(X, rng_seed=rng.randrange(1 << 32), restarts=4)
+        if cert is None:
+            continue
+        ground = X.ground_set
+        # a prefix of the collapse, which may stop short of a lone vertex
+        cut = rng.randrange(len(cert.steps) + 1)
+        end = X
+        for step in cert.steps[:cut]:
+            end = apply_step(end, step)
+        prefix = Certificate(COLLAPSE, cert.steps[:cut], digest(X), digest(end))
+        for c in (cert, prefix):
+            end = replay(X, c)
+            expected = [dual_step(s, ground) for s in c.steps]
+            final = alexander_dual(end)
+            if len(end) == 2:  # a lone vertex v
+                (v,) = next(iter(end.faces_of_dim(0)))
+                whole = tuple(sorted(ground))
+                expected.append(StepPair(tuple(sorted(ground - {v})), whole, ANTICOLLAPSE))
+                final = from_facets([whole], ground=ground)
+            anti = dual_certificate(X, c)
+            assert list(anti.steps) == expected
+            assert replay(alexander_dual(X), anti) == final
+        checked += 1
 
 
 def test_check_alexander_duality_two_points():

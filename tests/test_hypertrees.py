@@ -22,7 +22,6 @@ from anticollapse.errors import InputError, SizeError
 from anticollapse.homology import (
     IncrementalRank,
     adds_top_cycle,
-    boundary_column,
     homology,
     is_acyclic,
 )
@@ -31,7 +30,6 @@ from anticollapse.hypertrees import (
     REFUTED,
     UNKNOWN,
     _derive_seed,
-    complete_skeleton,
     is_hypertree,
     kalai_check,
     kruskal_generate,
@@ -81,30 +79,36 @@ def test_generator_deterministic_per_seed():
     assert kruskal_generate(7, 2, 99) != kruskal_generate(7, 2, 100)
 
 
+def _tuple_column(face, row_index):
+    """Sparse boundary of a vertex tuple: alternating signs over its facets."""
+    return {row_index[face[:j] + face[j + 1 :]]: -1 if j % 2 else 1 for j in range(len(face))}
+
+
 def test_incremental_acceptance_agrees_with_full_recompute():
-    # replay the generator's decisions through the one-shot rank test
-    rng = Random(4)
-    for n, d in ((5, 2), (6, 2), (5, 3)):
-        candidates = complete_skeleton(n, d)
-        rng.shuffle(candidates)
-        rows = sorted(combinations(range(1, n + 1), d))
-        row_index = {f: i for i, f in enumerate(rows)}
-        state = IncrementalRank()
-        accepted = []
-        target = comb(n - 1, d)
-        for sigma in candidates:
-            if len(accepted) == target:
-                break
-            current = from_facets(
-                accepted + list(combinations(range(1, n + 1), d)),
-                ground=range(1, n + 1),
-            )
-            expected_cycle = adds_top_cycle(current, sigma)
-            got_independent = state.add(boundary_column(sigma, row_index))
-            assert got_independent == (not expected_cycle)
-            if got_independent:
-                accepted.append(sigma)
-        assert len(accepted) == target
+    # the generator re-run on tuples: the same seeded shuffle of the
+    # lexicographic candidate list, every decision checked against the
+    # one-shot rank test, and the same complex at the end
+    for n, d in ((5, 2), (6, 2), (5, 3), (6, 1)):
+        for seed in range(3):
+            candidates = list(combinations(range(1, n + 1), d + 1))
+            Random(seed).shuffle(candidates)
+            skeleton = list(combinations(range(1, n + 1), d))
+            row_index = {f: i for i, f in enumerate(skeleton)}
+            state = IncrementalRank()
+            accepted = []
+            target = comb(n - 1, d)
+            for sigma in candidates:
+                if len(accepted) == target:
+                    break
+                current = from_facets(accepted + skeleton, ground=range(1, n + 1))
+                expected_cycle = adds_top_cycle(current, sigma)
+                got_independent = state.add(_tuple_column(sigma, row_index))
+                assert got_independent == (not expected_cycle)
+                if got_independent:
+                    accepted.append(sigma)
+            assert len(accepted) == target
+            expected = from_facets(accepted + skeleton, ground=range(1, n + 1))
+            assert kruskal_generate(n, d, seed) == expected
 
 
 def test_spanning_torsion_matches_normal_form():
