@@ -15,21 +15,8 @@ import sys
 from pathlib import Path
 
 from . import constructions
-from .collapse import (
-    Certificate,
-    core_erosion,
-    free_faces,
-    random_discrete_morse,
-    replay,
-    search_collapse,
-)
-from .complexes import (
-    SimplicialComplex,
-    digest,
-    format_facet_file,
-    read_facet_file,
-    write_facet_file,
-)
+from .collapse import Certificate, core_erosion, random_discrete_morse, replay, search_collapse
+from .complexes import digest, format_facet_file, read_facet_file, write_facet_file
 from .constructions import Refusal, catalog, load_base_case, theorem2_construct
 from .duality import alexander_dual, is_anticollapsible
 from .errors import InputError, StepError
@@ -42,10 +29,13 @@ EXIT_USAGE = 2
 EXIT_REFUSAL = 3
 
 
-def _parse_seed(value: str) -> int:
+def _parse_seed(value: str, echo: bool = True) -> int:
+    """The seed to use; a drawn one is printed unless the command echoes
+    the seed itself."""
     if value == "auto":
         seed = secrets.randbits(63)
-        print(f"# seed {seed}")
+        if echo:
+            print(f"# seed {seed}")
         return seed
     try:
         return int(value)
@@ -53,12 +43,16 @@ def _parse_seed(value: str) -> int:
         raise InputError(f"seed must be an integer or 'auto', got {value!r}") from exc
 
 
-def _load(path: str) -> SimplicialComplex:
-    return read_facet_file(path)
+def _write(text: str, out: str | None) -> None:
+    """Write text to the --out path, or to stdout without one."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_homology(args) -> int:
-    X = _load(args.facetfile)
+    X = read_facet_file(args.facetfile)
     profile = homology(X)
     for d, b in enumerate(profile.betti):
         torsion = ",".join(str(t) for t in profile.torsion[d])
@@ -67,51 +61,35 @@ def cmd_homology(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    X = _load(args.facetfile)
-    dual = alexander_dual(X)
-    text = format_facet_file(dual, header_comments=[f"dual of {args.facetfile}"])
+    dual = alexander_dual(read_facet_file(args.facetfile))
+    _write(format_facet_file(dual, header_comments=[f"dual of {args.facetfile}"]), args.out)
+    return EXIT_OK
+
+
+# the search behind each certificate subcommand and the noun it reports
+_SEARCHES = {"collapse": (search_collapse, "collapse"),
+             "anticollapse": (is_anticollapsible, "expansion")}
+
+
+def cmd_certificate(args) -> int:
+    """collapse and anticollapse: search, then print or write the certificate.
+    Both outcomes name the seed, so a drawn one is not echoed again."""
+    search, noun = _SEARCHES[args.command]
+    X = read_facet_file(args.facetfile)
+    seed = _parse_seed(args.seed, echo=False)
+    cert = search(X, rng_seed=seed, restarts=args.budget)
+    if cert is None:
+        print(f"no {noun} found within {args.budget} restarts (seed {seed})")
+        return EXIT_FAIL
+    print(f"# seed {seed}")
+    _write(cert.to_json() + "\n", args.out)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        print(f"{cert.kind} certificate with {len(cert)} steps -> {args.out}")
     return EXIT_OK
-
-
-def cmd_collapse(args) -> int:
-    X = _load(args.facetfile)
-    seed = _parse_seed(args.seed)
-    cert = search_collapse(X, rng_seed=seed, restarts=args.budget)
-    if cert is None:
-        print(f"no collapse found within {args.budget} restarts (seed {seed})")
-        return EXIT_FAIL
-    _emit_certificate(cert, args.out, seed)
-    return EXIT_OK
-
-
-def cmd_anticollapse(args) -> int:
-    X = _load(args.facetfile)
-    seed = _parse_seed(args.seed)
-    cert = is_anticollapsible(X, rng_seed=seed, restarts=args.budget)
-    if cert is None:
-        print(f"no expansion found within {args.budget} restarts (seed {seed})")
-        return EXIT_FAIL
-    _emit_certificate(cert, args.out, seed)
-    return EXIT_OK
-
-
-def _emit_certificate(cert: Certificate, out: str | None, seed: int) -> None:
-    text = cert.to_json() + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        print(f"# seed {seed}")
-        print(f"{cert.kind} certificate with {len(cert)} steps -> {out}")
-    else:
-        print(f"# seed {seed}")
-        sys.stdout.write(text)
 
 
 def cmd_rdm(args) -> int:
-    X = _load(args.facetfile)
+    X = read_facet_file(args.facetfile)
     seed = _parse_seed(args.seed)
     for t in range(args.trials):
         vector, _ = random_discrete_morse(X, rng_seed=seed + t)
@@ -120,7 +98,7 @@ def cmd_rdm(args) -> int:
 
 
 def cmd_core(args) -> int:
-    X = _load(args.facetfile)
+    X = read_facet_file(args.facetfile)
     residue, collapsible = core_erosion(X)
     d = X.dim
     print(f"dimension {d}: {'erodes fully' if collapsible else 'stuck'}")
@@ -130,20 +108,16 @@ def cmd_core(args) -> int:
 
 
 def cmd_kruskal(args) -> int:
-    seed = _parse_seed(args.seed)
+    seed = _parse_seed(args.seed, echo=bool(args.out))  # else the header on stdout names it
     X = kruskal_generate(args.n, args.d, seed)
-    text = format_facet_file(
+    _write(format_facet_file(
         X, header_comments=[f"seed {seed}", f"spanning {args.d}-complex on {args.n} vertices"]
-    )
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    ), args.out)
     return EXIT_OK
 
 
 def cmd_survey(args) -> int:
-    seed = _parse_seed(args.seed)
+    seed = _parse_seed(args.seed, echo=False)
     summary = run_survey(
         args.n, args.d, trials=args.trials, rng_seed=seed, csv_path=args.out
     )
@@ -157,7 +131,7 @@ def cmd_survey(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    seed = _parse_seed(args.seed)
+    seed = _parse_seed(args.seed, echo=False)  # printed with the witness; refusals ignore it
     result = theorem2_construct(args.n, args.d)
     if isinstance(result, Refusal):
         print(str(result))
@@ -178,7 +152,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify_cert(args) -> int:
-    X = _load(args.facetfile)
+    X = read_facet_file(args.facetfile)
     cert = Certificate.from_json(Path(args.certfile).read_text(encoding="utf-8"))
     try:
         end = replay(X, cert)
@@ -195,26 +169,20 @@ def cmd_reproduce(args) -> int:
     def row(name: str, ok: bool, detail: str = "") -> None:
         rows.append((name, ok, detail))
 
-    for name in constructions.CATALOG_NAMES:
+    def digest_row(label: str, load, detail) -> None:
         try:
-            entry = catalog(name)
-            expected = constructions.EXPECTED_DIGESTS.get(name)
-            ok = expected is None or digest(entry.complex) == expected
-            row(f"catalog {name}", ok, "digest mismatch" if not ok else f"{len(entry.complex.facets())} facets")
+            entry = load()
+            ok = digest(entry.complex) == constructions.EXPECTED_DIGESTS[entry.name]
+            row(label, ok, detail(entry) if ok else "digest mismatch")
         except Exception as exc:  # claim verification failures land here
-            row(f"catalog {name}", False, str(exc))
+            row(label, False, str(exc))
+
+    for name in constructions.CATALOG_NAMES:
+        digest_row(f"catalog {name}", lambda: catalog(name),
+                   lambda entry: f"{len(entry.complex.facets())} facets")
     for d in (2, 3):
-        try:
-            entry = load_base_case(d)
-            expected = constructions.EXPECTED_DIGESTS.get(entry.name)
-            ok = expected is None or digest(entry.complex) == expected
-            row(
-                f"golden base_8_{d}",
-                ok,
-                "digest mismatch" if not ok else f"cert {len(entry.certificate)} steps",
-            )
-        except Exception as exc:
-            row(f"golden base_8_{d}", False, str(exc))
+        digest_row(f"golden base_8_{d}", lambda: load_base_case(d),
+                   lambda entry: f"cert {len(entry.certificate)} steps")
 
     for name in ("C38_3", "dual_C38_3"):
         try:
@@ -224,33 +192,15 @@ def cmd_reproduce(args) -> int:
         except Exception as exc:
             row(f"core survives in {name}", False, str(exc))
 
+    # theorem2_construct checks and replays each witness it returns
     for n in range(8, 11):
-        expected_accept = set(range(2, n - 3))
-        got = set()
-        ok = True
-        detail = ""
+        wanted = set(range(2, n - 3))
         try:
-            for d in range(0, n):
-                result = theorem2_construct(n, d)
-                if isinstance(result, Refusal):
-                    continue
-                X, cert = result
-                got.add(d)
-                if X.dim != d or len(X.support) != n or free_faces(X):
-                    ok = False
-                    detail = f"bad witness at d={d}"
-                    break
-                if not replay(X, cert).is_simplex():
-                    ok = False
-                    detail = f"certificate failed at d={d}"
-                    break
-            if ok and got != expected_accept:
-                ok = False
-                detail = f"accepted {sorted(got)}, wanted {sorted(expected_accept)}"
+            got = {d for d in range(n) if not isinstance(theorem2_construct(n, d), Refusal)}
+            detail = "" if got == wanted else f"accepted {sorted(got)}, wanted {sorted(wanted)}"
         except Exception as exc:
-            ok = False
-            detail = str(exc)
-        row(f"witness matrix n={n}", ok, detail)
+            got, detail = None, str(exc)
+        row(f"witness matrix n={n}", got == wanted, detail)
 
     if not args.quick:
         summary = run_survey(8, 3, trials=200, rng_seed=20250808)
@@ -288,19 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dual)
 
-    p = sub.add_parser("collapse", help="search for a full collapse certificate")
-    p.add_argument("facetfile")
-    p.add_argument("--budget", type=int, default=64)
-    p.add_argument("--seed", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_collapse)
-
-    p = sub.add_parser("anticollapse", help="search for an expansion certificate")
-    p.add_argument("facetfile")
-    p.add_argument("--budget", type=int, default=64)
-    p.add_argument("--seed", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_anticollapse)
+    for command, help_text in (("collapse", "search for a full collapse certificate"),
+                               ("anticollapse", "search for an expansion certificate")):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("facetfile")
+        p.add_argument("--budget", type=int, default=64)
+        p.add_argument("--seed", required=True)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=cmd_certificate)
 
     p = sub.add_parser("rdm", help="random collapse runs, one critical-cell vector per line")
     p.add_argument("facetfile")

@@ -7,9 +7,9 @@ certificates whose replay re-validates every precondition and checks the
 start and end digests, so a certificate is independently verifiable.
 
 The one degenerate move, with the empty face as the free side, is
-representable but gated behind a flag: it is only legal when collapsing a
-lone vertex or when expanding the complex with no faces, and it exists for
-bookkeeping under duality.
+representable but gated behind a flag that replay always sets: it is only
+legal when collapsing a lone vertex or when expanding the complex with no
+faces, and it exists for bookkeeping under duality.
 """
 from __future__ import annotations
 
@@ -66,13 +66,15 @@ class Certificate:
         return len(self.steps)
 
     def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "start": self.start_hash,
-            "end": self.end_hash,
-            "steps": [[list(s.free), list(s.coface)] for s in self.steps],
-        }
-        return json.dumps(payload, indent=1)
+        """The text of json.dumps(payload, indent=1), written directly: with an
+        indent, json falls back to its pure-Python encoder."""
+        def face(f: Face) -> str:
+            return "[\n    " + ",\n    ".join(map(str, f)) + "\n   ]" if f else "[]"
+
+        head = "".join(f" {json.dumps(key)}: {json.dumps(value)},\n" for key, value in
+                       (("kind", self.kind), ("start", self.start_hash), ("end", self.end_hash)))
+        steps = ",\n".join(f"  [\n   {face(s.free)},\n   {face(s.coface)}\n  ]" for s in self.steps)
+        return "{\n" + head + ' "steps": ' + (f"[\n{steps}\n ]" if steps else "[]") + "\n}"
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
@@ -351,9 +353,7 @@ def apply_step(
     return wb.to_complex()
 
 
-def replay(
-    X: SimplicialComplex, cert: Certificate, allow_trivial: bool = True
-) -> SimplicialComplex:
+def replay(X: SimplicialComplex, cert: Certificate) -> SimplicialComplex:
     """Replay a certificate from its start complex, revalidating every step.
 
     Raises StepError if any precondition or digest fails; returns the end
@@ -365,7 +365,7 @@ def replay(
     for step in cert.steps:
         if step.direction != cert.kind:
             raise StepError("certificate mixes step directions")
-        wb.apply(X.mask_of(step.free), X.mask_of(step.coface), step.direction, allow_trivial)
+        wb.apply(X.mask_of(step.free), X.mask_of(step.coface), step.direction, True)
     end = wb.to_complex()
     if digest(end) != cert.end_hash:
         raise StepError("certificate end digest does not match the replayed complex")
@@ -420,18 +420,18 @@ def _core_erosion(wb: _Workbench, d: int, rng_seed: int | None = None) -> bool:
     return all(m.bit_count() < top for m in wb.faces)
 
 
-def _greedy_collapse(wb: _Workbench, rng: Random) -> Optional[list[tuple[int, int]]]:
-    """One randomized greedy run to a single vertex; None when stuck."""
+def _greedy_collapse(wb: _Workbench, rng: Random) -> list[tuple[int, int]]:
+    """Randomized greedy collapses, a uniform free pair of top coface each,
+    until a single vertex or no free pair is left; the steps taken."""
     steps: list[tuple[int, int]] = []
-    while True:
-        if wb.is_single_vertex():
-            return steps
+    while not wb.is_single_vertex():
         pairs = wb.free_pairs_at_max_dim()
         if not pairs:
-            return None
+            break
         t, c = pairs[rng.randrange(len(pairs))]
         wb.collapse(t, c)
         steps.append((t, c))
+    return steps
 
 
 def _backtrack_collapse(wb: _Workbench, node_budget: int) -> Optional[list[tuple[int, int]]]:
@@ -478,7 +478,7 @@ def _collapse_masks(
     for _ in range(max(1, restarts)):
         run = wb.copy()
         steps = _greedy_collapse(run, rng)
-        if steps is not None:
+        if run.is_single_vertex():
             return run, steps
     if backtrack and 0 < sum(1 for m in wb.faces if m & (m - 1)) <= _BACKTRACK_FACE_LIMIT:
         run = wb.copy()
@@ -526,15 +526,10 @@ def random_discrete_morse(
     counts = [0] * (X.dim + 1)
     pairs: list[tuple[Face, Face]] = []
     while wb.faces:
+        pairs += [(X.face_of(t), X.face_of(c)) for t, c in _greedy_collapse(wb, rng)]
         if wb.is_single_vertex():
             counts[0] += 1
             wb._remove(next(iter(wb.faces)))
-            continue
-        free = wb.free_pairs_at_max_dim()
-        if free:
-            t, c = free[rng.randrange(len(free))]
-            wb.collapse(t, c)
-            pairs.append((X.face_of(t), X.face_of(c)))
         else:
             size = max(m.bit_count() for m in wb.faces)
             top = sorted(m for m in wb.faces if m.bit_count() == size)

@@ -319,11 +319,11 @@ def relabeled(X: SimplicialComplex, mapping: dict[int, int]) -> SimplicialComple
     return SimplicialComplex._from_masks(ground, {_mask(moved, f) for f in X.faces})
 
 
-def hasse_edges(X: SimplicialComplex, include_empty: bool = True) -> Iterator[tuple[Face, Face]]:
-    """Edges (lower, upper) of the face poset between consecutive dimensions."""
-    lowest = 1 if include_empty else 2  # size of the smallest upper face
+def hasse_edges(X: SimplicialComplex) -> Iterator[tuple[Face, Face]]:
+    """Edges (lower, upper) of the face poset between consecutive dimensions,
+    the empty face included."""
     for upper in X.faces:
-        if len(upper) >= lowest:
+        if upper:
             for lower in combinations(upper, len(upper) - 1):
                 yield (lower, upper)
 
@@ -376,6 +376,12 @@ def format_facet_file(X: SimplicialComplex, header_comments: Sequence[str] = ())
     return "\n".join(lines) + "\n"
 
 
+def _is_number(token: str) -> bool:
+    """ASCII decimal digits only; int() also takes signs, underscores and
+    any Unicode digit."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_facet_text(text: str) -> SimplicialComplex:
     """Parse the facet file format.
 
@@ -383,7 +389,7 @@ def parse_facet_text(text: str) -> SimplicialComplex:
     with '#' are comments.  An optional first directive line "ground n" fixes
     the ground set to {1..n}; otherwise the ground set is the support.  A
     single directive line "void" denotes the complex with no faces.  Each
-    directive may appear at most once.
+    directive may appear at most once.  Every number is ASCII decimal digits.
     """
     ground: frozenset[int] | None = None
     facets: list[Face] = []
@@ -393,13 +399,13 @@ def parse_facet_text(text: str) -> SimplicialComplex:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("ground"):
+        parts = line.split()
+        if parts[0] == "ground":
             if saw_data:
                 raise InputError("'ground' directive must precede the facets")
             if ground is not None:
                 raise InputError("'ground' directive given twice")
-            parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            if len(parts) != 2 or not _is_number(parts[1]) or int(parts[1]) < 1:
                 raise InputError(f"bad ground directive: {line!r}")
             ground = frozenset(range(1, int(parts[1]) + 1))
             continue
@@ -411,8 +417,10 @@ def parse_facet_text(text: str) -> SimplicialComplex:
             continue
         saw_data = True
         try:
-            facets.append(make_face(int(tok) for tok in line.split()))
-        except ValueError as exc:
+            if not _is_number("".join(parts)):  # one test for every token
+                raise InputError("vertices must be ASCII decimal numbers")
+            facets.append(make_face(map(int, parts)))
+        except InputError as exc:
             raise InputError(f"bad facet line {line!r}: {exc}") from exc
     if is_void:
         if facets:

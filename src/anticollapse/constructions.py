@@ -100,6 +100,12 @@ CATALOG_NAMES = (
     "dual_C38_3",
 )
 
+# what every no-free-face expandable witness on its own ground set claims
+_WITNESS_CLAIMS = frozenset(
+    {CLAIM_ANTICOLLAPSIBLE, CLAIM_NO_FREE_FACES, CLAIM_Q_ACYCLIC, CLAIM_Z_ACYCLIC,
+     CLAIM_CONTRACTIBLE}
+)
+
 # The 35-facet 3-dimensional list admits exactly four expansion moves, so
 # its dual keeps four free faces; the no-free-face claim holds only for the
 # dual of the 2-dimensional list.
@@ -115,10 +121,7 @@ _CATALOG_CLAIMS: dict[str, frozenset[str]] = {
     "C38_3": frozenset(
         {CLAIM_Q_ACYCLIC, CLAIM_Z_ACYCLIC, CLAIM_TOP_CORE, CLAIM_DUAL_TOP_CORE}
     ),
-    "dual_Y28_2": frozenset(
-        {CLAIM_ANTICOLLAPSIBLE, CLAIM_NO_FREE_FACES, CLAIM_Q_ACYCLIC,
-         CLAIM_Z_ACYCLIC, CLAIM_CONTRACTIBLE}
-    ),
+    "dual_Y28_2": _WITNESS_CLAIMS,
     "dual_Y38_3": frozenset(
         {CLAIM_ANTICOLLAPSIBLE, CLAIM_Q_ACYCLIC, CLAIM_Z_ACYCLIC,
          CLAIM_CONTRACTIBLE}
@@ -158,10 +161,16 @@ class ClaimVerificationError(RuntimeError):
 
 
 def _verify_claims(
-    name: str, X: SimplicialComplex, claims: frozenset[str]
+    name: str,
+    X: SimplicialComplex,
+    claims: frozenset[str],
+    certificate: Optional[Certificate] = None,
 ) -> Optional[Certificate]:
-    """Re-check every claimed flag; returns a certificate when one exists."""
-    certificate = None
+    """Re-check every claimed flag; returns a certificate when one exists.
+
+    A given expansion certificate must replay from X to the full simplex;
+    without one, the collapse and expansion claims are searched for.
+    """
     profile = None
     if {CLAIM_Q_ACYCLIC, CLAIM_Z_ACYCLIC} & claims:
         profile = homology(X)
@@ -176,10 +185,11 @@ def _verify_claims(
             cert = search_collapse(X, rng_seed=_CATALOG_VERIFY_SEED, restarts=64)
             ok = cert is not None
             certificate = certificate or cert
+        elif claim == CLAIM_ANTICOLLAPSIBLE and certificate is not None:
+            ok = certificate.kind == ANTICOLLAPSE and replay(X, certificate).is_simplex()
         elif claim == CLAIM_ANTICOLLAPSIBLE:
-            cert = is_anticollapsible(X, rng_seed=_CATALOG_VERIFY_SEED, restarts=64)
-            ok = cert is not None
-            certificate = certificate or cert
+            certificate = is_anticollapsible(X, rng_seed=_CATALOG_VERIFY_SEED, restarts=64)
+            ok = certificate is not None
         elif claim == CLAIM_CONTRACTIBLE:
             ok = certificate is not None
         elif claim == CLAIM_TOP_CORE:
@@ -193,23 +203,32 @@ def _verify_claims(
     return certificate
 
 
+def _check_witness(
+    name: str, X: SimplicialComplex, d: int, certificate: Certificate, claims: frozenset[str]
+) -> None:
+    """Check a witness's shape, d-dimensional with support {1..n} for its
+    ground set of size n, and then its claims against its certificate."""
+    if X.dim != d or X.support != frozenset(range(1, len(X.ground_set) + 1)):
+        raise ClaimVerificationError(f"{name}: wrong dimension or support")
+    _verify_claims(name, X, claims, certificate)
+
+
+_CATALOG_FACETS = {"Y28_2": Y28_2_FACETS, "Y38_3": Y38_3_FACETS, "C38_3": C38_3_FACETS}
+
+
 @lru_cache(maxsize=None)
 def catalog(name: str) -> CatalogEntry:
     """A bundled reference complex with its claims re-verified on load."""
     if name not in CATALOG_NAMES:
         raise InputError(f"unknown catalog name {name!r}")
-    listed: tuple[Face, ...]
-    if name.endswith("Y28_2"):
-        listed = Y28_2_FACETS
-    elif name.endswith("Y38_3"):
-        listed = Y38_3_FACETS
-    else:
-        listed = C38_3_FACETS
-    base = from_facets(listed, ground=range(1, 9))
-    X = alexander_dual(base) if name.startswith("dual_") else base
+    listed = _CATALOG_FACETS[name.removeprefix("dual_")]
+    X = from_facets(listed, ground=range(1, 9))
+    if name.startswith("dual_"):
+        X = alexander_dual(X)
+        listed = X.facets()
     claims = _CATALOG_CLAIMS[name]
     certificate = _verify_claims(name, X, claims)
-    return CatalogEntry(name, X, claims, listed if not name.startswith("dual_") else X.facets(), certificate)
+    return CatalogEntry(name, X, claims, listed, certificate)
 
 
 # -- dimension-raising constructions -----------------------------------
@@ -386,7 +405,9 @@ def find_base_case(
 
     Spanning 2-complexes are generated and perturbed by exchange moves until
     no edge lies in exactly one triangle; survivors are filtered for
-    integral acyclicity and a replayable expansion certificate.  Raises
+    integral acyclicity and a replayable expansion certificate.  A spanning
+    complex whose reduced boundary matrix is unimodular has trivial integral
+    homology, so the torsion order alone settles acyclicity.  Raises
     SearchBudgetExceeded with statistics when the budget runs out.
     """
     rng = Random(rng_seed)
@@ -399,29 +420,16 @@ def find_base_case(
             continue
         stats["annealed"] += 1
         X = _with_full_skeleton(n, 2, basis)
-        if X.support != frozenset(range(1, n + 1)) or free_faces(X):
+        if free_faces(X):
             continue
         if spanning_torsion_order(X, 2) != 1:
-            stats["torsion_rejects"] += 1
-            continue
-        profile = homology(X)
-        if not profile.is_trivial():
             stats["torsion_rejects"] += 1
             continue
         cert = is_anticollapsible(X, rng_seed=rng.randrange(1 << 60), restarts=64)
         if cert is None:
             stats["expansion_rejects"] += 1
             continue
-        entry = CatalogEntry(
-            name=f"base_{n}_2",
-            complex=X,
-            claims=frozenset(
-                {CLAIM_ANTICOLLAPSIBLE, CLAIM_NO_FREE_FACES, CLAIM_Q_ACYCLIC,
-                 CLAIM_Z_ACYCLIC, CLAIM_CONTRACTIBLE}
-            ),
-            facets_listed=X.facets(),
-            certificate=cert,
-        )
+        entry = CatalogEntry(f"base_{n}_2", X, _WITNESS_CLAIMS, X.facets(), cert)
         if out_dir is not None:
             persist_entry(entry, out_dir, rng_seed)
         return entry
@@ -463,16 +471,7 @@ def find_dim3_base(
         if free_faces(witness) or witness.dim != 3:
             continue
         anti = dual_certificate(X, cert)
-        entry = CatalogEntry(
-            name=f"base_{n}_3",
-            complex=witness,
-            claims=frozenset(
-                {CLAIM_ANTICOLLAPSIBLE, CLAIM_NO_FREE_FACES, CLAIM_Q_ACYCLIC,
-                 CLAIM_Z_ACYCLIC, CLAIM_CONTRACTIBLE}
-            ),
-            facets_listed=witness.facets(),
-            certificate=anti,
-        )
+        entry = CatalogEntry(f"base_{n}_3", witness, _WITNESS_CLAIMS, witness.facets(), anti)
         if out_dir is not None:
             persist_entry(entry, out_dir, rng_seed)
         return entry
@@ -514,25 +513,8 @@ def load_base_case(d: int) -> CatalogEntry:
     pkg = resources.files("anticollapse.data")
     X = parse_facet_text((pkg / f"{name}.facets").read_text(encoding="utf-8"))
     cert = Certificate.from_json((pkg / f"{name}.cert").read_text(encoding="utf-8"))
-    if X.dim != d or X.support != frozenset(range(1, 9)):
-        raise ClaimVerificationError(f"{name}: wrong dimension or support")
-    if free_faces(X):
-        raise ClaimVerificationError(f"{name}: free faces present")
-    if not homology(X).is_trivial():
-        raise ClaimVerificationError(f"{name}: not integrally acyclic")
-    end = replay(X, cert)
-    if not end.is_simplex():
-        raise ClaimVerificationError(f"{name}: certificate does not reach the simplex")
-    return CatalogEntry(
-        name=name,
-        complex=X,
-        claims=frozenset(
-            {CLAIM_ANTICOLLAPSIBLE, CLAIM_NO_FREE_FACES, CLAIM_Q_ACYCLIC,
-             CLAIM_Z_ACYCLIC, CLAIM_CONTRACTIBLE}
-        ),
-        facets_listed=X.facets(),
-        certificate=cert,
-    )
+    _check_witness(name, X, d, cert, _WITNESS_CLAIMS)
+    return CatalogEntry(name, X, _WITNESS_CLAIMS, X.facets(), cert)
 
 
 # -- the constructor ----------------------------------------------------
@@ -624,6 +606,7 @@ def theorem2_construct(n: int, d: int) -> ConstructionResult:
     exist exactly for n >= 8 with 2 <= d <= n - 4; every other pair is
     refused with the matching reason.  The certificate is composed from the
     bases' by the double-cone and stacking lemmas: no search, (n, d) only.
+    A faulty composition raises ClaimVerificationError or StepError.
     """
     if not isinstance(n, int) or not isinstance(d, int) or n < 1 or d < 0:
         raise InputError(f"need integers n >= 1 and d >= 0, got n={n}, d={d}")
@@ -636,10 +619,8 @@ def theorem2_construct(n: int, d: int) -> ConstructionResult:
     if n <= 7:
         return _refusal(REFUSE_SMALL_N)
     X, steps = _witness(n, d)
-    if X.dim != d or len(X.support) != n:
-        raise RuntimeError(f"constructed witness has wrong shape for ({n}, {d})")
-    if free_faces(X):
-        raise RuntimeError(f"constructed witness for ({n}, {d}) has a free face")
     certificate = Certificate(ANTICOLLAPSE, steps, digest(X), digest(SimplicialComplex.simplex(n)))
-    replay(X, certificate)  # the one replay, so a faulty composition fails here
+    # one free-face scan and one replay, so a faulty composition fails here
+    _check_witness(f"witness_{n}_{d}", X, d, certificate,
+                   frozenset({CLAIM_NO_FREE_FACES, CLAIM_ANTICOLLAPSIBLE}))
     return X, certificate

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from anticollapse import collapse, constructions
 from anticollapse.cli import EXIT_FAIL, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, main
+from anticollapse.collapse import apply_step
 from anticollapse.complexes import (
     SimplicialComplex,
     digest,
@@ -17,6 +20,7 @@ from anticollapse.complexes import (
 )
 from anticollapse.constructions import C38_3_FACETS, Y28_2_FACETS, Y38_3_FACETS
 from anticollapse.duality import dual_by_enumeration
+from anticollapse.errors import StepError
 
 from conftest import RP2_FACETS
 
@@ -153,6 +157,28 @@ def test_seed_auto_prints_chosen_seed(simplex_file, capsys):
     assert "# seed " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["collapse", "SIMPLEX", "--seed", "auto"],
+        ["collapse", "SIMPLEX", "--seed", "auto", "--out", "OUT"],
+        ["anticollapse", "SIMPLEX", "--seed", "auto"],
+        ["rdm", "SIMPLEX", "--seed", "auto"],
+        ["kruskal", "--n", "6", "--d", "2", "--seed", "auto"],
+        ["kruskal", "--n", "6", "--d", "2", "--seed", "auto", "--out", "OUT"],
+        ["survey", "--n", "5", "--d", "2", "--trials", "2", "--seed", "auto"],
+        ["construct", "--n", "8", "--d", "2", "--seed", "auto", "--out", "OUT"],
+    ],
+    ids=["collapse", "collapse-out", "anticollapse", "rdm", "kruskal", "kruskal-out",
+         "survey", "construct"],
+)
+def test_seed_auto_prints_chosen_seed_once(argv, simplex_file, tmp_path, capsys):
+    argv = [{"SIMPLEX": simplex_file, "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert sum(line.startswith("# seed ") for line in out.splitlines()) == 1
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -165,6 +191,20 @@ def test_bad_input_file(tmp_path, capsys):
     path = tmp_path / "bad.facets"
     path.write_text("1 1 2\n", encoding="utf-8")
     assert main(["homology", str(path)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["groundx 5\n1 2\n", "ground \u00b2\n1 2\n", "1_0 2\n", "+3 1\n", "\uff11 2\n"],
+    ids=["directive-suffix", "superscript-ground", "underscore", "sign", "fullwidth-digit"],
+)
+def test_malformed_numbers_and_directives_are_usage_errors(text, tmp_path, capsys):
+    path = tmp_path / "bad.facets"
+    path.write_text(text, encoding="utf-8")
+    assert main(["homology", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_repeated_ground_directive_is_usage_error(tmp_path, capsys):
@@ -195,6 +235,76 @@ def test_reproduce_quick(capsys):
     assert "catalog Y28_2" in out
     assert "witness matrix n=10" in out
     assert "rows pass" in out
+
+
+# sha256 of the reproduce --quick stdout; the table must stay byte-identical
+REPRODUCE_QUICK_SHA256 = "38b1089d028cd43337ae8c4daccac6492bfa0e1df5b148ddd1798987174e10a4"
+
+
+def test_reproduce_quick_output_pinned(capsys):
+    assert main(["reproduce", "--quick"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPRODUCE_QUICK_SHA256
+
+
+def count_calls(monkeypatch, module, names) -> dict[str, int]:
+    """Count calls of module functions through every alias in the package."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for key, m in list(sys.modules.items())
+               if key == "anticollapse" or key.startswith("anticollapse.")]
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return counts
+
+
+def test_reproduce_quick_checks_each_witness_once(monkeypatch, capsys):
+    # cold caches: every catalog entry, golden base and witness is built and
+    # checked by the table itself
+    for cached in (constructions.catalog, constructions.load_base_case, constructions._witness):
+        cached.cache_clear()
+    counts = count_calls(monkeypatch, collapse, ("replay", "free_faces"))
+    assert main(["reproduce", "--quick"]) == EXIT_OK
+    capsys.readouterr()
+    # two catalog transports, two golden bases and twelve witnesses replay;
+    # one catalog entry, the golden bases and the witnesses scan free faces
+    assert counts == {"replay": 16, "free_faces": 15}
+
+
+def with_free_face():
+    """The (8, 2) witness after its first expansion: a 3-complex on 8
+    vertices whose added face is free, with the rest of the certificate."""
+    X, steps = constructions._witness(8, 2)
+    return apply_step(X, steps[0]), steps[1:]
+
+
+def truncated():
+    """The (8, 2) witness with the last step of its certificate dropped."""
+    X, steps = constructions._witness(8, 2)
+    return X, steps[:-1]
+
+
+@pytest.mark.parametrize("bad_witness, d, error, match", [
+    (with_free_face, 3, RuntimeError, "free"),
+    (truncated, 2, StepError, "end digest"),
+])
+def test_faulty_witness_fails_construct_and_reproduce(bad_witness, d, error, match,
+                                                      monkeypatch, capsys):
+    witness = bad_witness()
+    monkeypatch.setattr(constructions, "_witness", lambda n, d: witness)
+    with pytest.raises(error, match=match):
+        constructions.theorem2_construct(8, d)
+    assert main(["reproduce", "--quick"]) == EXIT_FAIL
+    rows = capsys.readouterr().out.splitlines()
+    assert any(r.startswith("witness matrix n=8 ") and "  FAIL" in r for r in rows)
 
 
 @pytest.mark.parametrize(

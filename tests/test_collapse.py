@@ -1,6 +1,7 @@
 """Elementary moves, certificates, erosion, search, and matchings."""
 from __future__ import annotations
 
+import json
 from random import Random
 
 import pytest
@@ -152,6 +153,34 @@ def test_certificate_round_trip_json():
     again = Certificate.from_json(cert.to_json())
     assert again == cert
     replay(X, again)
+
+
+def test_certificate_json_matches_indented_dumps(rng):
+    # to_json writes the bytes of json.dumps(payload, indent=1) directly
+    def dumps(cert):
+        payload = {
+            "kind": cert.kind,
+            "start": cert.start_hash,
+            "end": cert.end_hash,
+            "steps": [[list(s.free), list(s.coface)] for s in cert.steps],
+        }
+        return json.dumps(payload, indent=1)
+
+    start = "0" * 64
+    certs = [
+        Certificate(COLLAPSE, (), start, "f" * 64),
+        Certificate(ANTICOLLAPSE, (StepPair((), (1,), ANTICOLLAPSE),), start, start),
+    ]
+    for _ in range(30):
+        cert = search_collapse(random_complex(rng), rng_seed=rng.randrange(100))
+        if cert is not None:
+            certs.append(cert)
+            certs.append(Certificate(ANTICOLLAPSE, tuple(s.reversed() for s in cert.steps),
+                                     cert.end_hash, cert.start_hash))
+    assert len(certs) > 10
+    for cert in certs:
+        assert cert.to_json() == dumps(cert)
+        assert Certificate.from_json(cert.to_json()) == cert
 
 
 def test_replay_validates_digests():

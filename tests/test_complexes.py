@@ -249,6 +249,19 @@ def test_facet_file_rejects_bad_lines():
 
 @pytest.mark.parametrize(
     "text",
+    ["groundx 5\n1 2\n", "ground \u00b2\n1 2\n", "1_0 2\n", "+3 1\n", "\uff11 2\n"],
+    ids=["directive-suffix", "superscript-ground", "underscore", "sign", "fullwidth-digit"],
+)
+def test_facet_file_rejects_non_ascii_numbers_and_directives(text):
+    # the directive is exactly "ground" and every number is ASCII decimal
+    # digits, though int() would take the superscript, underscore, sign and
+    # fullwidth digit
+    with pytest.raises(InputError):
+        parse_facet_text(text)
+
+
+@pytest.mark.parametrize(
+    "text",
     [
         "ground 5\nground 3\n1 2\n",
         "ground 3\nground 3\n1 2\n",

@@ -1,6 +1,9 @@
 """Catalog loading, dimension-raising moves, base discovery, the constructor."""
 from __future__ import annotations
 
+import json
+from importlib import resources
+
 import pytest
 
 from anticollapse.collapse import (
@@ -27,9 +30,9 @@ from anticollapse.constructions import (
     stacking_move,
     theorem2_construct,
 )
-from anticollapse import duality
+from anticollapse import constructions, duality
 from anticollapse.duality import alexander_dual
-from anticollapse.errors import InputError, SearchBudgetExceeded
+from anticollapse.errors import InputError, SearchBudgetExceeded, StepError
 from anticollapse.homology import homology
 
 from conftest import random_complex, rp2
@@ -312,6 +315,36 @@ def test_golden_bases_load_and_verify():
         assert entry.complex.dim == d
         assert free_faces(entry.complex) == []
         assert replay(entry.complex, entry.certificate).is_simplex()
+
+
+def test_golden_bases_replay_their_certificates_without_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a golden base must not be searched for")
+
+    monkeypatch.setattr(constructions, "is_anticollapsible", no_search)
+    monkeypatch.setattr(duality, "_collapse_masks", no_search)
+    load_base_case.cache_clear()
+    for d in (2, 3):
+        entry = load_base_case(d)
+        assert replay(entry.complex, entry.certificate).is_simplex()
+
+
+def test_golden_base_with_tampered_certificate_fails(monkeypatch, tmp_path):
+    data = resources.files("anticollapse.data")
+    for suffix in ("facets", "cert"):
+        text = (data / f"base_8_2.{suffix}").read_text(encoding="utf-8")
+        if suffix == "cert":
+            payload = json.loads(text)
+            payload["steps"] = payload["steps"][:-1]
+            text = json.dumps(payload)
+        (tmp_path / f"base_8_2.{suffix}").write_text(text, encoding="utf-8")
+    monkeypatch.setattr(constructions.resources, "files", lambda package: tmp_path)
+    load_base_case.cache_clear()
+    try:
+        with pytest.raises(StepError):
+            load_base_case(2)
+    finally:
+        load_base_case.cache_clear()
 
 
 def test_golden_base_is_evasive():
