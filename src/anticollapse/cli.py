@@ -74,6 +74,8 @@ _SEARCHES = {"collapse": (search_collapse, "collapse"),
 def cmd_certificate(args) -> int:
     """collapse and anticollapse: search, then print or write the certificate.
     Both outcomes name the seed, so a drawn one is not echoed again."""
+    if args.budget < 1:
+        raise InputError("at least one restart")
     search, noun = _SEARCHES[args.command]
     X = read_facet_file(args.facetfile)
     seed = _parse_seed(args.seed, echo=False)
@@ -89,6 +91,8 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_rdm(args) -> int:
+    if args.trials < 1:
+        raise InputError("at least one trial")
     X = read_facet_file(args.facetfile)
     seed = _parse_seed(args.seed)
     for t in range(args.trials):

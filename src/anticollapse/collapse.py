@@ -18,7 +18,6 @@ import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from itertools import permutations
 from random import Random
 from typing import Optional
 
@@ -566,72 +565,13 @@ def verify_matching_acyclic(X: SimplicialComplex, matching: Matching) -> bool:
 
 # -- non-evasiveness ---------------------------------------------------
 
-_CANON_BRUTE_LIMIT = 20_160  # brute-force permutation budget per call
-
-
-def _canonical_key(X: SimplicialComplex) -> tuple:
-    """A deterministic relabeled facet list, shared by isomorphic complexes
-    whenever the refinement plus bounded brute force finds the true minimum.
-    Key equality always implies isomorphism, so memoization stays sound.
-    """
-    support = sorted(X.support)
-    facets = X.facets()
-    if not support:
-        return ("trivial", len(X))
-    neighbors: dict[int, set[int]] = {v: set() for v in support}
-    for (u, v) in X.faces_of_dim(1):
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    inv: dict[int, tuple] = {
-        v: tuple(sorted(len(f) for f in facets if v in f)) for v in support
-    }
-    for _ in range(2):
-        inv = {
-            v: (inv[v], tuple(sorted(inv[u] for u in neighbors[v])))
-            for v in support
-        }
-    groups: dict[tuple, list[int]] = {}
-    for v in support:
-        groups.setdefault(inv[v], []).append(v)
-    ordered_groups = [sorted(groups[k]) for k in sorted(groups)]
-    total = 1
-    for g in ordered_groups:
-        for i in range(2, len(g) + 1):
-            total *= i
-        if total > _CANON_BRUTE_LIMIT:
-            break
-    if total <= _CANON_BRUTE_LIMIT:
-        best = None
-        for perm_parts in _group_orders(ordered_groups):
-            labels = {v: i + 1 for i, v in enumerate(perm_parts)}
-            key = tuple(sorted(tuple(sorted(labels[v] for v in f)) for f in facets))
-            if best is None or key < best:
-                best = key
-        return ("facets", best)
-    flat = [v for g in ordered_groups for v in g]
-    labels = {v: i + 1 for i, v in enumerate(flat)}
-    return (
-        "facets",
-        tuple(sorted(tuple(sorted(labels[v] for v in f)) for f in facets)),
-    )
-
-
-def _group_orders(groups: list[list[int]]):
-    if not groups:
-        yield []
-        return
-    head, tail = groups[0], groups[1:]
-    for rest in _group_orders(tail):
-        for perm in permutations(head):
-            yield list(perm) + rest
-
 
 def is_non_evasive(X: SimplicialComplex) -> bool:
     """Recursive vertex-elimination test.
 
     A single vertex passes; otherwise some vertex must have both its link
-    and its deletion pass recursively.  Memoized, within one call, on a
-    canonical relabeling so isomorphic sub-instances are solved once.
+    and its deletion pass recursively.  Memoized, within one call, on the
+    facet list, which fixes every face the recursion reads.
     """
     return _non_evasive(X, {})
 
@@ -640,19 +580,12 @@ def _non_evasive(X: SimplicialComplex, memo: dict[tuple, bool]) -> bool:
     support = X.support
     if not support:
         return False
-    if len(support) == 1:
-        return True
-    if len(X.facets()) == 1:
-        return True  # a simplex is a cone
-    key = _canonical_key(X)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    result = False
-    for v in sorted(support):
-        lk, dl = link_and_del(X, v)
-        if _non_evasive(lk, memo) and _non_evasive(dl, memo):
-            result = True
-            break
-    memo[key] = result
-    return result
+    key = X.facets()
+    if len(key) == 1:
+        return True  # a simplex, a single vertex included, is a cone
+    if key not in memo:
+        memo[key] = any(
+            _non_evasive(lk, memo) and _non_evasive(dl, memo)
+            for lk, dl in (link_and_del(X, v) for v in sorted(support))
+        )
+    return memo[key]

@@ -29,6 +29,8 @@ Face = tuple[int, ...]
 
 EMPTY_FACE: Face = ()
 
+MAX_GROUND = 4096  # largest "ground n": about 1 MB of bits; the dual enumerates 2^n masks
+
 
 def make_face(vertices: Iterable[int]) -> Face:
     """Validate and canonicalize a face: sorted, no repeats, positive labels."""
@@ -386,10 +388,11 @@ def parse_facet_text(text: str) -> SimplicialComplex:
     """Parse the facet file format.
 
     One facet per line as space-separated positive integers.  Lines starting
-    with '#' are comments.  An optional first directive line "ground n" fixes
-    the ground set to {1..n}; otherwise the ground set is the support.  A
-    single directive line "void" denotes the complex with no faces.  Each
-    directive may appear at most once.  Every number is ASCII decimal digits.
+    with '#' are comments.  An optional first directive line "ground n", with
+    n <= MAX_GROUND, fixes the ground set to {1..n}; otherwise it is the
+    support.  A single directive line "void" denotes the complex with no
+    faces.  Each directive may appear at most once.  Every number is ASCII
+    decimal digits.
     """
     ground: frozenset[int] | None = None
     facets: list[Face] = []
@@ -405,8 +408,8 @@ def parse_facet_text(text: str) -> SimplicialComplex:
                 raise InputError("'ground' directive must precede the facets")
             if ground is not None:
                 raise InputError("'ground' directive given twice")
-            if len(parts) != 2 or not _is_number(parts[1]) or int(parts[1]) < 1:
-                raise InputError(f"bad ground directive: {line!r}")
+            if len(parts) != 2 or not _is_number(parts[1]) or not 0 < int(parts[1]) <= MAX_GROUND:
+                raise InputError(f"bad ground directive {line!r}: n must be 1..{MAX_GROUND}")
             ground = frozenset(range(1, int(parts[1]) + 1))
             continue
         if line == "void":

@@ -7,8 +7,8 @@ reduced.
 
 Every question over Z, Q and GF(p) is answered from the integer normal form
 of the boundary maps: columns are reduced against unit pivots, which give
-invariant factors 1, and smallest-absolute-value Smith elimination runs only
-on the columns left over; ranks over Q and GF(p) are read off the factors.
+invariant factors 1, and a dense Smith loop runs only on the few columns
+left over; ranks over Q and GF(p) are read off the factors.
 Arithmetic is on Python integers, so there is no overflow to detect.
 """
 from __future__ import annotations
@@ -155,9 +155,11 @@ def smith_invariant_factors(columns: list[dict[int, int]]) -> list[int]:
     column is set aside.  Ordered by row, the pivots form a lower triangular
     block with a +-1 diagonal, which is unimodular and contributes factors 1.
     The set-aside columns are then cleared on every pivot row, in increasing
-    row order, and a smallest-absolute-value Smith loop runs on what is left
-    (tiny or empty for boundary maps).  Only unimodular row and column
-    operations are used, so the factors are exact.
+    row order, and a dense Smith loop runs on what is left (tiny or empty
+    for boundary maps).  It records a pivot of least absolute value only
+    once the pivot divides every entry left, so the factors come out in
+    divisibility order.  Only unimodular row and column operations are
+    used, so the factors are exact.
     """
     pivots: dict[int, dict[int, int]] = {}
     rest: list[dict[int, int]] = []
@@ -177,75 +179,39 @@ def smith_invariant_factors(columns: list[dict[int, int]]) -> list[int]:
         for r in order:
             if r in work:
                 _subtract(work, pivots[r], r)
-    mat = {(i, j): v for j, work in enumerate(rest) for i, v in work.items()}
-    rows_of: dict[int, set[int]] = {}
-    cols_of: dict[int, set[int]] = {}
-    for (i, j) in mat:
-        rows_of.setdefault(i, set()).add(j)
-        cols_of.setdefault(j, set()).add(i)
+    # Dense rows of the set-aside columns, over the rows they still touch.
+    a = [[work.get(r, 0) for work in rest] for r in sorted({r for work in rest for r in work})]
 
-    def set_entry(i: int, j: int, v: int) -> None:
-        if v:
-            if (i, j) not in mat:
-                rows_of.setdefault(i, set()).add(j)
-                cols_of.setdefault(j, set()).add(i)
-            mat[(i, j)] = v
-        elif (i, j) in mat:
-            del mat[(i, j)]
-            rows_of[i].discard(j)
-            cols_of[j].discard(i)
-
-    def add_row(dst: int, src: int, factor: int) -> None:
-        for j in list(rows_of.get(src, ())):
-            set_entry(dst, j, mat.get((dst, j), 0) + factor * mat[(src, j)])
-
-    def add_col(dst: int, src: int, factor: int) -> None:
-        for i in list(cols_of.get(src, ())):
-            set_entry(i, dst, mat.get((i, dst), 0) + factor * mat[(i, src)])
+    def least() -> tuple[int, int, int]:
+        return min((abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v)
 
     diagonal: list[int] = []
-    while mat:
-        (pi, pj) = min(mat, key=lambda ij: (abs(mat[ij]), ij))
+    while any(map(any, a)):
+        _, i, j = least()
         while True:
-            pv = mat[(pi, pj)]
-            moved = False
-            for i in list(cols_of.get(pj, ())):
-                if i != pi:
-                    q = mat[(i, pj)] // pv
-                    add_row(i, pi, -q)
-                    if (i, pj) in mat:
-                        pi, pj = i, pj
-                        moved = True
-                        break
-            if moved:
+            p = a[i][j]
+            for k, row in enumerate(a):
+                q = row[j] // p
+                if k != i and q:
+                    a[k] = [x - q * y for x, y in zip(row, a[i])]
+            for l, v in enumerate(a[i]):
+                q = v // p
+                if l != j and q:
+                    for row in a:
+                        row[l] -= q * row[j]
+            m, k, l = least()
+            if m < abs(p):
+                i, j = k, l  # a smaller remainder becomes the pivot
                 continue
-            pv = mat[(pi, pj)]
-            for j in list(rows_of.get(pi, ())):
-                if j != pj:
-                    q = mat[(pi, j)] // pv
-                    add_col(j, pj, -q)
-                    if (pi, j) in mat:
-                        pi, pj = pi, j
-                        moved = True
-                        break
-            if not moved:
+            bad = next((row for row in a if any(v % p for v in row)), None)
+            if bad is None:
                 break
-        diagonal.append(abs(mat[(pi, pj)]))
-        set_entry(pi, pj, 0)
-        # pivot row and column are now clear; the rest recurses
-
-    # Repair the divisibility chain; diag(a, b) ~ diag(gcd, lcm).
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diagonal)):
-            for j in range(i + 1, len(diagonal)):
-                a, b = diagonal[i], diagonal[j]
-                if b % a:
-                    g = gcd(a, b)
-                    diagonal[i], diagonal[j] = g, a // g * b
-                    changed = True
-    return [1] * len(pivots) + sorted(diagonal)
+            a[i] = [x + y for x, y in zip(a[i], bad)]
+        diagonal.append(abs(p))
+        del a[i]
+        for row in a:
+            del row[j]
+    return [1] * len(pivots) + diagonal
 
 
 def _boundary_factors(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
@@ -374,7 +340,7 @@ def adds_top_cycle(X: SimplicialComplex, sigma: Face) -> bool:
         if sub not in X:
             raise InputError(f"boundary face {sub} of {sigma} is missing")
     row_index = {m: k for k, m in enumerate(sorted(X._by_size.get(d, ())))}
-    state = IncrementalRank()
-    for m in sorted(X._by_size.get(d + 1, ())):
-        state.add(_mask_column(m, row_index))
-    return not state.add(_mask_column(X.mask_of(sigma), row_index))
+    columns = [_mask_column(m, row_index) for m in sorted(X._by_size.get(d + 1, ()))]
+    rank = len(smith_invariant_factors(columns))
+    columns.append(_mask_column(X.mask_of(sigma), row_index))
+    return len(smith_invariant_factors(columns)) == rank

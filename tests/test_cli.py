@@ -214,6 +214,34 @@ def test_repeated_ground_directive_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_oversized_ground_directive_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "huge.facets"
+    path.write_text("ground 300000\n1 2\n", encoding="utf-8")
+    assert main(["homology", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rdm", "--trials", "0"],
+        ["rdm", "--trials", "-3"],
+        ["collapse", "--budget", "0"],
+        ["collapse", "--budget", "-5"],
+        ["anticollapse", "--budget", "0"],
+    ],
+    ids=["rdm-zero", "rdm-negative", "collapse-zero", "collapse-negative", "anticollapse-zero"],
+)
+def test_counts_below_one_are_usage_errors(argv, simplex_file, capsys):
+    command, *count = argv
+    assert main([command, simplex_file, *count, "--seed", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "at least one" in captured.err
+
+
 @pytest.mark.parametrize("case", ["undecodable facets", "undecodable cert", "directory", "out is a file"])
 def test_unreadable_input_is_usage_error(case, simplex_file, tmp_path, capsys):
     binary = tmp_path / "binary"

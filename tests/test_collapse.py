@@ -362,6 +362,21 @@ def test_non_evasive_matches_oracle_on_randoms(rng):
         assert is_non_evasive(X) == _non_evasive_oracle(X)
 
 
+# is_non_evasive on seeded draws with 6 or 7 vertices in their support,
+# taken while the memo was keyed on a canonical relabeling: 1 = non-evasive
+NON_EVASIVE_PIN = "1111101111111111001111111111011001111111"
+
+
+def test_non_evasive_is_pinned_on_six_and_seven_vertices():
+    rng = Random(2)
+    picked = []
+    while len(picked) < len(NON_EVASIVE_PIN):
+        X = random_complex(rng, max_vertices=7)
+        if len(X.support) >= 6:
+            picked.append(X)
+    assert "".join("1" if is_non_evasive(X) else "0" for X in picked) == NON_EVASIVE_PIN
+
+
 def test_non_evasive_implies_collapsible_small(rng):
     found = 0
     while found < 15:

@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from anticollapse.complexes import (
+    MAX_GROUND,
     SimplicialComplex,
     connected_components,
     digest,
@@ -228,6 +229,15 @@ def test_facet_file_ground_directive():
     X = parse_facet_text("ground 5\n1 2\n")
     assert X.ground_set == frozenset(range(1, 6))
     assert X.facets() == ((1, 2),)
+
+
+def test_facet_file_ground_directive_is_bounded():
+    # the largest ground is accepted; one more is refused before any
+    # per-label work, so a huge n cannot exhaust memory
+    assert len(parse_facet_text(f"ground {MAX_GROUND}\n1 2\n").ground_set) == MAX_GROUND
+    for n in (MAX_GROUND + 1, 300_000, 10**12):
+        with pytest.raises(InputError, match=f"1..{MAX_GROUND}"):
+            parse_facet_text(f"ground {n}\n1 2\n")
 
 
 def test_facet_file_void_and_empty():

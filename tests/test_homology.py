@@ -457,3 +457,50 @@ def test_one_normal_form_per_complex():
             is_acyclic(X, 2)
             check_alexander_duality(X, 3)
         assert spy.call_count == expected
+
+
+def _set_aside_count(columns: list[dict[int, int]]) -> int:
+    """Columns that find no unit pivot when reduced left to right against
+    earlier unit pivots on their least row: the remainder of the normal
+    form that the Smith loop sees."""
+    pivots: dict[int, dict[int, int]] = {}
+    count = 0
+    for col in columns:
+        work = dict(col)
+        while work:
+            r = min(work)
+            if r not in pivots:
+                if work[r] in (1, -1):
+                    pivots[r] = work
+                else:
+                    count += 1
+                break
+            c = work[r] * pivots[r][r]
+            for row, v in pivots[r].items():
+                work[row] = work.get(row, 0) - c * v
+                if not work[row]:
+                    del work[row]
+    return count
+
+
+# sha256 of smith_invariant_factors on seeded integer matrices up to 9x9,
+# taken before the Smith loop on the set-aside columns was rewritten
+SMITH_SHA256 = "a2424ec915e81e5ddf234a79ae5452e20044dfc77d49ce936bf3d41847128617"
+
+
+def test_smith_invariant_factors_pinned_on_random_matrices():
+    rng = Random(20251018)
+    lines = []
+    large_remainders = 0
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 9), rng.randint(1, 9)
+        cols = [
+            {i: v for i in range(n_rows) if (v := rng.randint(-9, 9))} for _ in range(n_cols)
+        ]
+        large_remainders += _set_aside_count(cols) >= 3
+        factors = smith_invariant_factors(cols)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        lines.append(str(factors))
+    # the Smith loop must see more than the 4x4 matrices of the property test
+    assert large_remainders >= 20
+    assert _sha256(lines) == SMITH_SHA256
