@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import constructions
 from .collapse import Certificate, core_erosion, random_discrete_morse, replay, search_collapse
-from .complexes import digest, format_facet_file, read_facet_file, write_facet_file
-from .constructions import Refusal, catalog, load_base_case, theorem2_construct
+from .complexes import digest, format_facet_file, read_facet_file
+from .constructions import Refusal, catalog, load_base_case, theorem2_construct, write_witness
 from .duality import alexander_dual, is_anticollapsible
 from .errors import InputError, StepError
 from .homology import homology
@@ -141,17 +141,11 @@ def cmd_construct(args) -> int:
         print(str(result))
         return EXIT_REFUSAL
     X, cert = result
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stem = f"witness_{args.n}_{args.d}"
-    write_facet_file(
-        out / f"{stem}.facets",
-        X,
-        header_comments=[f"seed {seed}", f"witness for n={args.n}, d={args.d}"],
-    )
-    (out / f"{stem}.cert").write_text(cert.to_json() + "\n", encoding="utf-8")
+    write_witness(args.out, stem, X, cert,
+                  [f"seed {seed}", f"witness for n={args.n}, d={args.d}"])
     print(f"# seed {seed}")
-    print(f"wrote {stem}.facets and {stem}.cert to {out}")
+    print(f"wrote {stem}.facets and {stem}.cert to {Path(args.out)}")
     return EXIT_OK
 
 

@@ -408,9 +408,14 @@ def parse_facet_text(text: str) -> SimplicialComplex:
                 raise InputError("'ground' directive must precede the facets")
             if ground is not None:
                 raise InputError("'ground' directive given twice")
-            if len(parts) != 2 or not _is_number(parts[1]) or not 0 < int(parts[1]) <= MAX_GROUND:
+            n = parts[1] if len(parts) == 2 else ""
+            try:
+                ok = _is_number(n) and 0 < int(n) <= MAX_GROUND
+            except ValueError:  # more digits than int() converts
+                ok = False
+            if not ok:
                 raise InputError(f"bad ground directive {line!r}: n must be 1..{MAX_GROUND}")
-            ground = frozenset(range(1, int(parts[1]) + 1))
+            ground = frozenset(range(1, int(n) + 1))
             continue
         if line == "void":
             if is_void:
@@ -423,7 +428,7 @@ def parse_facet_text(text: str) -> SimplicialComplex:
             if not _is_number("".join(parts)):  # one test for every token
                 raise InputError("vertices must be ASCII decimal numbers")
             facets.append(make_face(map(int, parts)))
-        except InputError as exc:
+        except ValueError as exc:  # InputError, or a token past int()'s digit limit
             raise InputError(f"bad facet line {line!r}: {exc}") from exc
     if is_void:
         if facets:

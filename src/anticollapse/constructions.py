@@ -5,9 +5,11 @@ complex on n vertices that expands to the full simplex by elementary
 anticollapses yet has no free face at all, together with a replayable
 expansion certificate.  Inadmissible pairs get a principled refusal.
 
-The 8-vertex bases in dimensions 2 and 3 are discovered by randomized
-search over spanning complexes and shipped as golden files that are
-re-verified on load; the dimension-4 base is the dual of a bundled
+The 8-vertex bases in dimensions 2 and 3 are discovered by one randomized
+search over spanning complexes, which certifies each candidate by an
+expansion search and checks it like a shipped witness; they are shipped as
+golden files, written by the same writer as construct's output and
+re-verified on load.  The dimension-4 base is the dual of a bundled
 reference complex.  Higher cases follow by the double cone (n, d) ->
 (n+1, d+1) and the stacking move (n, 2) -> (n+1, 2).  Both moves have
 explicit expansions, so every certificate is composed from the bases' with
@@ -39,12 +41,12 @@ from .complexes import (
     Face,
     SimplicialComplex,
     digest,
-    format_facet_file,
     from_facets,
     parse_facet_text,
     relabeled,
+    write_facet_file,
 )
-from .duality import alexander_dual, dual_certificate, is_anticollapsible
+from .duality import alexander_dual, is_anticollapsible
 from .errors import InputError, SearchBudgetExceeded
 from .homology import IncrementalRank, _mask_column, homology
 from .hypertrees import (_with_full_skeleton, complete_skeleton, kruskal_generate,
@@ -277,9 +279,6 @@ def lift_matching(X: SimplicialComplex, x: int, matching: Matching) -> Matching:
     result are exactly the double cone of the input's critical cells
     whenever those form a subcomplex.
     """
-    for low, high in matching.pairs:
-        if low not in X.faces or high not in X.faces:
-            raise InputError(f"pair ({low}, {high}) is not a face pair of the complex")
     if not verify_matching_acyclic(X, matching):
         raise InputError("input matching is not acyclic")
     a, b = double_cone_labels(X, x)
@@ -394,6 +393,48 @@ def _expansion_move_count(n: int, d: int):
     return objective
 
 
+def _find_base(d: int, n: int, rng_seed: int, budget: int, out_dir: Optional[str],
+               objective, witness_of) -> CatalogEntry:
+    """Anneal spanning d-complexes on n vertices until objective reaches
+    zero, keep those with trivial torsion, and certify witness_of(X) by an
+    expansion to the full simplex.
+
+    A spanning complex whose reduced boundary matrix is unimodular has
+    trivial integral homology, so the torsion order alone settles
+    acyclicity.  The witness is checked like a shipped one before it is
+    returned or written to out_dir.  Raises SearchBudgetExceeded with
+    statistics when the budget runs out.
+    """
+    rng = Random(rng_seed)
+    stats = {"attempts": 0, "annealed": 0, "torsion_rejects": 0, "expansion_rejects": 0}
+    started = time.time()
+    name = f"base_{n}_{d}"
+    for _ in range(budget):
+        stats["attempts"] += 1
+        basis = _spanning_basis_anneal(n, d, rng, objective)
+        if basis is None:
+            continue
+        stats["annealed"] += 1
+        X = _with_full_skeleton(n, d, basis)
+        if spanning_torsion_order(X, d) != 1:
+            stats["torsion_rejects"] += 1
+            continue
+        witness = witness_of(X)
+        cert = is_anticollapsible(witness, rng_seed=rng.randrange(1 << 60), restarts=64)
+        if cert is None:
+            stats["expansion_rejects"] += 1
+            continue
+        _check_witness(name, witness, d, cert, _WITNESS_CLAIMS)
+        if out_dir is not None:
+            comments = [f"{name} discovered with seed {rng_seed}"]
+            write_witness(out_dir, name, witness, cert, comments)
+        return CatalogEntry(name, witness, _WITNESS_CLAIMS, witness.facets(), cert)
+    stats["seconds"] = round(time.time() - started, 1)
+    raise SearchBudgetExceeded(
+        f"no expandable no-free-face {d}-complex on {n} vertices found", stats
+    )
+
+
 def find_base_case(
     rng_seed: int,
     budget: int = 200,
@@ -403,96 +444,36 @@ def find_base_case(
     """Search for a 2-dimensional complex on n vertices with no free faces
     that expands to the full simplex, and certify it.
 
-    Spanning 2-complexes are generated and perturbed by exchange moves until
-    no edge lies in exactly one triangle; survivors are filtered for
-    integral acyclicity and a replayable expansion certificate.  A spanning
-    complex whose reduced boundary matrix is unimodular has trivial integral
-    homology, so the torsion order alone settles acyclicity.  Raises
-    SearchBudgetExceeded with statistics when the budget runs out.
+    Spanning 2-complexes are perturbed by exchange moves until no edge lies
+    in exactly one triangle; survivors are filtered for integral acyclicity
+    and a replayable expansion certificate.
     """
-    rng = Random(rng_seed)
-    stats = {"attempts": 0, "annealed": 0, "torsion_rejects": 0, "expansion_rejects": 0}
-    started = time.time()
-    for _ in range(budget):
-        stats["attempts"] += 1
-        basis = _spanning_basis_anneal(n, 2, rng, _free_edge_count)
-        if basis is None:
-            continue
-        stats["annealed"] += 1
-        X = _with_full_skeleton(n, 2, basis)
-        if free_faces(X):
-            continue
-        if spanning_torsion_order(X, 2) != 1:
-            stats["torsion_rejects"] += 1
-            continue
-        cert = is_anticollapsible(X, rng_seed=rng.randrange(1 << 60), restarts=64)
-        if cert is None:
-            stats["expansion_rejects"] += 1
-            continue
-        entry = CatalogEntry(f"base_{n}_2", X, _WITNESS_CLAIMS, X.facets(), cert)
-        if out_dir is not None:
-            persist_entry(entry, out_dir, rng_seed)
-        return entry
-    stats["seconds"] = round(time.time() - started, 1)
-    raise SearchBudgetExceeded(
-        f"no expandable no-free-face 2-complex on {n} vertices found", stats
-    )
+    return _find_base(2, n, rng_seed, budget, out_dir, _free_edge_count, lambda X: X)
 
 
 def find_dim3_base(
     rng_seed: int,
     budget: int = 200,
-    n: int = 8,
     out_dir: Optional[str] = None,
 ) -> CatalogEntry:
-    """Search for a 3-dimensional no-free-face expandable complex on n
+    """Search for a 3-dimensional no-free-face expandable complex on 8
     vertices, as the dual of a collapsible spanning 3-complex that admits
     no expansion move at all.
+
+    The dual of a spanning 3-complex on n vertices has dimension n - 5, so
+    8 is the only vertex count this search can serve.
     """
-    rng = Random(rng_seed)
-    stats = {"attempts": 0, "annealed": 0, "torsion_rejects": 0, "collapse_rejects": 0}
-    started = time.time()
-    objective = _expansion_move_count(n, 3)
-    for _ in range(budget):
-        stats["attempts"] += 1
-        basis = _spanning_basis_anneal(n, 3, rng, objective)
-        if basis is None:
-            continue
-        stats["annealed"] += 1
-        X = _with_full_skeleton(n, 3, basis)
-        if spanning_torsion_order(X, 3) != 1:
-            stats["torsion_rejects"] += 1
-            continue
-        cert = search_collapse(X, rng_seed=rng.randrange(1 << 60), restarts=64)
-        if cert is None:
-            stats["collapse_rejects"] += 1
-            continue
-        witness = alexander_dual(X)
-        if free_faces(witness) or witness.dim != 3:
-            continue
-        anti = dual_certificate(X, cert)
-        entry = CatalogEntry(f"base_{n}_3", witness, _WITNESS_CLAIMS, witness.facets(), anti)
-        if out_dir is not None:
-            persist_entry(entry, out_dir, rng_seed)
-        return entry
-    stats["seconds"] = round(time.time() - started, 1)
-    raise SearchBudgetExceeded(
-        f"no expansion-stuck collapsible spanning 3-complex on {n} vertices found",
-        stats,
-    )
+    return _find_base(3, 8, rng_seed, budget, out_dir, _expansion_move_count(8, 3),
+                      alexander_dual)
 
 
-def persist_entry(entry: CatalogEntry, out_dir: str, rng_seed: int) -> None:
+def write_witness(out_dir, name: str, X: SimplicialComplex, certificate: Certificate,
+                  comments: list[str]) -> None:
+    """Write name.facets, headed by the comment lines, and name.cert."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    comments = [f"{entry.name} discovered with seed {rng_seed}"]
-    (out / f"{entry.name}.facets").write_text(
-        format_facet_file(entry.complex, header_comments=comments), encoding="utf-8"
-    )
-    if entry.certificate is not None:
-        (out / f"{entry.name}.cert").write_text(
-            entry.certificate.to_json() + "\n", encoding="utf-8"
-        )
+    write_facet_file(out / f"{name}.facets", X, header_comments=comments)
+    (out / f"{name}.cert").write_text(certificate.to_json() + "\n", encoding="utf-8")
 
 
 # -- golden base-case loading ------------------------------------------
@@ -569,6 +550,9 @@ def _witness(n: int, d: int) -> tuple[SimplicialComplex, tuple[StepPair, ...]]:
         # X = a*W[x->b] + b*W[x->a].  Each non-face S of X (equally, of W) off
         # a and b, added with S + a, fills in the simplex on G - b; then W's
         # expansion with x renamed a, coned over b, ends at the simplex on G.
+        # W lives on {1..n-1}, so x = 1 and (a, b) = (1, n): renaming x to a
+        # is the identity, and appending b keeps each step sorted.  Should
+        # that change, the replay in theorem2_construct fails loudly.
         W, inner = _witness(n - 1, d - 1)
         x = min(W.support)
         a, b = double_cone_labels(W, x)
@@ -576,8 +560,7 @@ def _witness(n: int, d: int) -> tuple[SimplicialComplex, tuple[StepPair, ...]]:
         rest = sorted(X.ground_set - {a, b})
         steps = [_step(S, S + (a,)) for k in range(len(rest) + 1)
                  for S in combinations(rest, k) if S not in W]
-        steps += [_step((b, *(a if u == x else u for u in s.free)),
-                        (b, *(a if u == x else u for u in s.coface))) for s in inner]
+        steps += [StepPair(s.free + (b,), s.coface + (b,), ANTICOLLAPSE) for s in inner]
         return X, tuple(steps)
     # Stacking X = W - sigma + v*(boundary of sigma): put sigma back with
     # sigma + v, expand W to the simplex on G - v, then add each missing

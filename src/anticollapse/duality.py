@@ -27,20 +27,9 @@ from .collapse import (
     _collapse_masks,
     replay,
 )
-from .complexes import Face, SimplicialComplex, digest
+from .complexes import SimplicialComplex, digest
 from .errors import InputError
 from .homology import _betti_numbers, _check_ring
-
-
-def minimal_nonfaces(X: SimplicialComplex) -> list[Face]:
-    """Inclusion-minimal subsets of the ground set that are not faces."""
-    faces = X._masks
-    minimal = []
-    for m in range(1 << len(X.ground_set)):
-        below = (m ^ (1 << i) for i in range(m.bit_length()) if m >> i & 1)
-        if m not in faces and all(f in faces for f in below):
-            minimal.append(X.face_of(m))
-    return sorted(minimal)
 
 
 def alexander_dual(X: SimplicialComplex) -> SimplicialComplex:

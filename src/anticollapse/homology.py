@@ -231,10 +231,6 @@ class HomologyProfile:
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
 
-    @property
-    def top_dim(self) -> int:
-        return len(self.betti) - 1
-
     def is_trivial(self) -> bool:
         return not any(self.betti) and not any(self.torsion)
 

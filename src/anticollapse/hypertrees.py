@@ -15,6 +15,7 @@ want one use search_collapse or is_anticollapsible.
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
@@ -244,7 +245,6 @@ def survey(
     d: int,
     trials: int,
     rng_seed: int,
-    restarts: int = 64,
 ) -> Iterator[tuple[int, HypertreeReport]]:
     """Generate and classify one hypertree per trial, yielding (seed, report).
 
@@ -256,7 +256,7 @@ def survey(
     for t in range(trials):
         seed = _derive_seed(rng_seed, t)
         X = kruskal_generate(n, d, seed)
-        yield seed, is_hypertree(X, d, rng_seed=seed, restarts=restarts)
+        yield seed, is_hypertree(X, d, rng_seed=seed)
 
 
 def run_survey(
@@ -265,7 +265,6 @@ def run_survey(
     trials: int,
     rng_seed: int,
     csv_path: Optional[str] = None,
-    restarts: int = 64,
     stop_after_class_a: Optional[int] = None,
 ) -> SurveySummary:
     """Drive a survey, optionally writing one CSV row per trial.
@@ -274,25 +273,13 @@ def run_survey(
     expansion examples have been seen (the seeds are recorded either way).
     """
     summary = SurveySummary(0, [], [], [], [])
-    writer = None
-    handle = None
-    if csv_path is not None:
-        handle = open(csv_path, "w", newline="", encoding="utf-8")
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "seed",
-                "facets",
-                "q_acyclic",
-                "torsion",
-                "dcollapsible",
-                "collapsible",
-                "anticollapsible",
-                "free_faces",
-            ]
-        )
-    try:
-        for seed, report in survey(n, d, trials, rng_seed, restarts=restarts):
+    sink = nullcontext() if csv_path is None else open(csv_path, "w", newline="", encoding="utf-8")
+    with sink as handle:  # closed even when a trial raises
+        writer = None if handle is None else csv.writer(handle)
+        if writer is not None:
+            writer.writerow(["seed", "facets", "q_acyclic", "torsion", "dcollapsible",
+                             "collapsible", "anticollapsible", "free_faces"])
+        for seed, report in survey(n, d, trials, rng_seed):
             summary.trials += 1
             if not report.q_acyclic or report.facet_count != comb(n - 1, d):
                 summary.invalid_seeds.append(seed)
@@ -303,24 +290,9 @@ def run_survey(
             if report.no_free_faces:
                 summary.no_free_face_seeds.append(seed)
             if writer is not None:
-                writer.writerow(
-                    [
-                        seed,
-                        report.facet_count,
-                        report.q_acyclic,
-                        report.torsion_order,
-                        report.d_collapsible,
-                        report.collapsible,
-                        report.anticollapsible,
-                        report.free_face_count,
-                    ]
-                )
-            if (
-                stop_after_class_a is not None
-                and len(summary.class_a_seeds) >= stop_after_class_a
-            ):
+                writer.writerow([seed, report.facet_count, report.q_acyclic,
+                                 report.torsion_order, report.d_collapsible, report.collapsible,
+                                 report.anticollapsible, report.free_face_count])
+            if stop_after_class_a is not None and len(summary.class_a_seeds) >= stop_after_class_a:
                 break
-    finally:
-        if handle is not None:
-            handle.close()
     return summary

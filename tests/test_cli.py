@@ -195,8 +195,10 @@ def test_bad_input_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["groundx 5\n1 2\n", "ground \u00b2\n1 2\n", "1_0 2\n", "+3 1\n", "\uff11 2\n"],
-    ids=["directive-suffix", "superscript-ground", "underscore", "sign", "fullwidth-digit"],
+    ["groundx 5\n1 2\n", "ground \u00b2\n1 2\n", "1_0 2\n", "+3 1\n", "\uff11 2\n",
+     f"ground {'7' * 5000}\n1 2\n", f"1 {'7' * 5000}\n"],
+    ids=["directive-suffix", "superscript-ground", "underscore", "sign", "fullwidth-digit",
+         "5000-digit-ground", "5000-digit-vertex"],
 )
 def test_malformed_numbers_and_directives_are_usage_errors(text, tmp_path, capsys):
     path = tmp_path / "bad.facets"

@@ -240,6 +240,13 @@ def test_facet_file_ground_directive_is_bounded():
             parse_facet_text(f"ground {n}\n1 2\n")
 
 
+def test_facet_file_digit_limit_applies_per_token():
+    # int() refuses a number of more than 4300 digits (rejected below), not
+    # a line whose numbers add up to more digits than that
+    padded = "0" * 3000
+    assert parse_facet_text(f"{padded}1 {padded}2\n").facets() == ((1, 2),)
+
+
 def test_facet_file_void_and_empty():
     void = parse_facet_text("ground 3\nvoid\n")
     assert not void.faces
@@ -259,13 +266,15 @@ def test_facet_file_rejects_bad_lines():
 
 @pytest.mark.parametrize(
     "text",
-    ["groundx 5\n1 2\n", "ground \u00b2\n1 2\n", "1_0 2\n", "+3 1\n", "\uff11 2\n"],
-    ids=["directive-suffix", "superscript-ground", "underscore", "sign", "fullwidth-digit"],
+    ["groundx 5\n1 2\n", "ground \u00b2\n1 2\n", "1_0 2\n", "+3 1\n", "\uff11 2\n",
+     f"ground {'7' * 5000}\n1 2\n", f"1 {'7' * 5000}\n"],
+    ids=["directive-suffix", "superscript-ground", "underscore", "sign", "fullwidth-digit",
+         "5000-digit-ground", "5000-digit-vertex"],
 )
 def test_facet_file_rejects_non_ascii_numbers_and_directives(text):
     # the directive is exactly "ground" and every number is ASCII decimal
     # digits, though int() would take the superscript, underscore, sign and
-    # fullwidth digit
+    # fullwidth digit; int() itself refuses a number of over 4300 digits
     with pytest.raises(InputError):
         parse_facet_text(text)
 

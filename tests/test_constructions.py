@@ -231,6 +231,12 @@ def test_lift_matching_critical_cells_are_double_cone(rng):
         done += 1
 
 
+def test_lift_matching_rejects_pairs_outside_the_complex():
+    X = from_facets([[1, 2]])
+    with pytest.raises(InputError, match="not a face pair"):
+        lift_matching(X, 1, Matching(frozenset({((1,), (1, 3))})))
+
+
 def test_lift_matching_of_reference_collapse():
     entry = catalog("Y28_2")
     M = certificate_matching(entry.certificate)
@@ -286,21 +292,40 @@ def test_stacking_move_rejects_non_facet():
 # -- base discovery ------------------------------------------------------
 
 
-def test_find_base_case_recovers_golden_witness():
-    entry = find_base_case(rng_seed=20250808, budget=50)
+def assert_writes_golden_files(out_dir, name):
+    # a seeded rediscovery writes the shipped files byte for byte
+    pkg = resources.files("anticollapse.data")
+    for suffix in ("facets", "cert"):
+        written = (out_dir / f"{name}.{suffix}").read_bytes()
+        assert written == (pkg / f"{name}.{suffix}").read_bytes(), suffix
+
+
+def test_find_base_case_recovers_golden_witness(tmp_path):
+    entry = find_base_case(rng_seed=20250808, budget=50, out_dir=str(tmp_path))
     X = entry.complex
     assert X.dim == 2 and X.support == frozenset(range(1, 9))
     assert free_faces(X) == []
     assert homology(X).is_trivial()
     assert replay(X, entry.certificate).is_simplex()
+    assert_writes_golden_files(tmp_path, "base_8_2")
 
 
-def test_find_dim3_base_recovers_golden_witness():
-    entry = find_dim3_base(rng_seed=20250808, budget=50)
+def test_find_dim3_base_recovers_golden_witness(tmp_path):
+    entry = find_dim3_base(rng_seed=20250808, budget=50, out_dir=str(tmp_path))
     X = entry.complex
     assert X.dim == 3 and X.support == frozenset(range(1, 9))
     assert free_faces(X) == []
     assert replay(X, entry.certificate).is_simplex()
+    assert_writes_golden_files(tmp_path, "base_8_3")
+
+
+def test_base_search_budget_statistics():
+    # seed 7 anneals every attempt and the torsion filter rejects each one
+    with pytest.raises(SearchBudgetExceeded) as info:
+        find_base_case(rng_seed=7, budget=4)
+    stats = dict(info.value.stats)
+    assert isinstance(stats.pop("seconds"), float)
+    assert stats == {"attempts": 4, "annealed": 4, "torsion_rejects": 4, "expansion_rejects": 0}
 
 
 def test_base_search_always_fails_on_seven_vertices():

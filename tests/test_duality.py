@@ -25,7 +25,6 @@ from anticollapse.duality import (
     dual_certificate,
     dual_step,
     is_anticollapsible,
-    minimal_nonfaces,
 )
 from anticollapse.errors import InputError
 
@@ -57,13 +56,6 @@ def test_dual_of_single_vertex():
     boundary = SimplicialComplex.simplex_boundary(n)
     missing = tuple(range(2, n + 1))
     assert dual.faces == boundary.faces - {missing}
-
-
-def test_minimal_nonfaces_of_cycle():
-    X = SimplicialComplex.simplex_boundary(3)
-    assert minimal_nonfaces(X) == [(1, 2, 3)]
-    Y = from_facets([[1, 2], [2, 3]])
-    assert minimal_nonfaces(Y) == [(1, 3)]
 
 
 def test_dual_matches_enumeration_oracle(rng):

@@ -25,6 +25,7 @@ from anticollapse.homology import (
     homology,
     is_acyclic,
 )
+from anticollapse import hypertrees
 from anticollapse.hypertrees import (
     FOUND,
     REFUTED,
@@ -218,6 +219,30 @@ def test_survey_reports_valid_hypertrees(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("seed,facets,q_acyclic")
     assert len(lines) == 26
+
+
+def test_survey_csv_is_closed_when_a_trial_raises(tmp_path, monkeypatch):
+    opened, trials = [], []
+    classify = hypertrees.is_hypertree
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    def failing_second_trial(*args, **kwargs):
+        trials.append(args)
+        if len(trials) == 2:
+            raise RuntimeError("trial failed")
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(hypertrees, "open", recording_open, raising=False)
+    monkeypatch.setattr(hypertrees, "is_hypertree", failing_second_trial)
+    csv_path = tmp_path / "survey.csv"
+    with pytest.raises(RuntimeError, match="trial failed"):
+        run_survey(6, 2, trials=5, rng_seed=42, csv_path=str(csv_path))
+    assert opened[0].closed
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("seed,facets")
 
 
 def test_survey_small_vertex_counts_always_collapsible():
