@@ -29,7 +29,6 @@ from .complexes import (
     from_facets,
     join,
     link_and_del,
-    pure_part,
     read_facet_file,
     skeleton,
     write_facet_file,
@@ -39,8 +38,7 @@ from .constructions import (
     Refusal,
     catalog,
     double_cone,
-    find_base_case,
-    find_dim3_base,
+    find_base,
     lift_matching,
     load_base_case,
     stacking_move,
@@ -52,7 +50,7 @@ from .duality import (
     dual_certificate,
     is_anticollapsible,
 )
-from .errors import InputError, SearchBudgetExceeded, SizeError, StepError
+from .errors import InputError, SizeError, StepError
 from .homology import (
     BoundaryMatrix,
     HomologyProfile,
@@ -85,7 +83,6 @@ __all__ = [
     "Matching",
     "MorseVector",
     "Refusal",
-    "SearchBudgetExceeded",
     "SimplicialComplex",
     "SizeError",
     "StepError",
@@ -100,8 +97,7 @@ __all__ = [
     "digest",
     "double_cone",
     "dual_certificate",
-    "find_base_case",
-    "find_dim3_base",
+    "find_base",
     "free_faces",
     "from_facets",
     "homology",
@@ -115,7 +111,6 @@ __all__ = [
     "lift_matching",
     "link_and_del",
     "load_base_case",
-    "pure_part",
     "random_discrete_morse",
     "read_facet_file",
     "replay",

@@ -21,15 +21,27 @@ from __future__ import annotations
 
 import hashlib
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, SizeError
 
 Face = tuple[int, ...]
 
 EMPTY_FACE: Face = ()
 
-MAX_GROUND = 4096  # largest "ground n": about 1 MB of bits; the dual enumerates 2^n masks
+MAX_GROUND = 4096  # largest "ground n": about 1 MB of bits
+
+# The most faces one complex may have, checked before a closure, dual or
+# witness is built: 2^18 faces take about 50 MB as a set of masks, and the
+# largest construct row in use (n = 16) needs 2^16.
+MAX_FACES = 1 << 18
+
+
+def check_face_count(count: int, what: str) -> None:
+    """SizeError, before any allocation, when what would have more than
+    MAX_FACES faces; count may be any upper bound on its face count."""
+    if count > MAX_FACES:
+        raise SizeError(f"{what} would have more than {MAX_FACES} faces")
 
 
 def make_face(vertices: Iterable[int]) -> Face:
@@ -246,7 +258,8 @@ def from_facets(
     Redundant (non-maximal) input faces are absorbed.  With no facets the
     result is the empty complex (only the empty face).  The ground set
     defaults to the union of the facet vertices and must contain it when
-    given explicitly.
+    given explicitly.  A closure that may exceed MAX_FACES faces raises
+    SizeError before it is built.
     """
     canon = [make_face(f) for f in facets]
     support: set[int] = set()
@@ -258,6 +271,9 @@ def from_facets(
         ground_set = frozenset(ground)
         if not support <= ground_set:
             raise InputError("ground set does not contain all facet vertices")
+    # the closure holds at most 2^|f| faces per facet, and 2^n on n labels
+    check_face_count(min(sum(1 << len(f) for f in canon), 1 << len(ground_set)),
+                     "the closure of the facet list")
     bits = _bits_of(ground_set)
     return SimplicialComplex._from_masks(ground_set, _closure(_mask(bits, f) for f in canon))
 
@@ -302,14 +318,6 @@ def skeleton(X: SimplicialComplex, j: int) -> SimplicialComplex:
     )
 
 
-def pure_part(X: SimplicialComplex) -> SimplicialComplex:
-    """Downward closure of the top-dimensional faces only."""
-    d = X.dim
-    if d < 0:
-        return X
-    return SimplicialComplex._from_masks(X.ground_set, _closure(X._by_size[d + 1]))
-
-
 def relabeled(X: SimplicialComplex, mapping: dict[int, int]) -> SimplicialComplex:
     """Apply a vertex relabeling; labels not in the mapping are kept."""
     moves = {v: mapping.get(v, v) for v in X.ground_set}
@@ -319,15 +327,6 @@ def relabeled(X: SimplicialComplex, mapping: dict[int, int]) -> SimplicialComple
     bits = _bits_of(ground)
     moved = {v: bits[w] for v, w in moves.items()}
     return SimplicialComplex._from_masks(ground, {_mask(moved, f) for f in X.faces})
-
-
-def hasse_edges(X: SimplicialComplex) -> Iterator[tuple[Face, Face]]:
-    """Edges (lower, upper) of the face poset between consecutive dimensions,
-    the empty face included."""
-    for upper in X.faces:
-        if upper:
-            for lower in combinations(upper, len(upper) - 1):
-                yield (lower, upper)
 
 
 def connected_components(X: SimplicialComplex) -> int:

@@ -5,11 +5,11 @@ complex on n vertices that expands to the full simplex by elementary
 anticollapses yet has no free face at all, together with a replayable
 expansion certificate.  Inadmissible pairs get a principled refusal.
 
-The 8-vertex bases in dimensions 2 and 3 are discovered by one randomized
-search over spanning complexes, which certifies each candidate by an
-expansion search and checks it like a shipped witness; they are shipped as
-golden files, written by the same writer as construct's output and
-re-verified on load.  The dimension-4 base is the dual of a bundled
+The 8-vertex bases in dimensions 2 and 3 are shipped as golden files,
+written by the same writer as construct's output and re-verified on load.
+An exhaustive search over the families of d-faces that a stuck complex
+must have finds such bases without randomness, and finds no family at all
+for the small refused pairs.  The dimension-4 base is the dual of a bundled
 reference complex.  Higher cases follow by the double cone (n, d) ->
 (n+1, d+1) and the stacking move (n, 2) -> (n+1, 2).  Both moves have
 explicit expansions, so every certificate is composed from the bases' with
@@ -17,14 +17,12 @@ no search and depends on (n, d) only.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
-from random import Random
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .collapse import (
     ANTICOLLAPSE,
@@ -40,6 +38,8 @@ from .collapse import (
 from .complexes import (
     Face,
     SimplicialComplex,
+    _closure,
+    check_face_count,
     digest,
     from_facets,
     parse_facet_text,
@@ -47,10 +47,9 @@ from .complexes import (
     write_facet_file,
 )
 from .duality import alexander_dual, is_anticollapsible
-from .errors import InputError, SearchBudgetExceeded
-from .homology import IncrementalRank, _mask_column, homology
-from .hypertrees import (_with_full_skeleton, complete_skeleton, kruskal_generate,
-                         spanning_torsion_order)
+from .errors import InputError
+from .homology import homology
+from .hypertrees import complete_skeleton
 
 # -- bundled reference complexes ---------------------------------------
 #
@@ -313,158 +312,97 @@ def stacking_move(X: SimplicialComplex, sigma: Face) -> SimplicialComplex:
     return from_facets(facets, ground=X.ground_set | {v})
 
 
-# -- randomized discovery of the 8-vertex bases ------------------------
+# -- exhaustive search for stuck families ------------------------------
 
 
-_ANNEAL_MAX_STEPS = 6000
-_ANNEAL_UPHILL = 0.03  # chance of accepting a worse basis
-_ANNEAL_WINDOW = 14  # candidates tried per move
+def _stuck_families(n: int, d: int) -> Iterator[list[int]]:
+    """Every family of d-face masks on {1..n} (bit i is vertex i + 1) that
+    contains {1..d+1}, puts each ridge in no member or in at least two, and
+    has boundaries independent over GF(2); each is yielded once, sorted.
 
-
-def _spanning_basis_anneal(n: int, d: int, rng: Random, objective) -> Optional[list[int]]:
-    """Walk the spanning-complex exchange graph, driving an objective to zero.
-
-    One move swaps a kept top face for an unused one while preserving full
-    boundary rank, accepting improvements and an occasional uphill step.
-    Faces are masks, in the order of complete_skeleton where draws index.
+    The d-faces of a stuck d-complex form such a family up to relabeling:
+    having no free face, it puts each ridge in 0 or >= 2 d-faces, and
+    expanding to the simplex, it is Z-acyclic, so its top boundary map is
+    injective over GF(2).  Hence no family means no stuck d-complex on at
+    most n vertices.  The search branches on the least ridge, by mask value,
+    that lies in exactly one member: it tries that ridge's cofaces in
+    increasing mask order, each sibling tried before excluded, and drops a
+    coface whose boundary depends on the chosen ones, as the dependence
+    persists in every larger family.  A boundary is an int bitset over the
+    ridges, which are numbered in mask order.
     """
-    row_index = {m: i for i, m in enumerate(complete_skeleton(n, d - 1))}
-    all_faces = complete_skeleton(n, d)
-    columns = {m: _mask_column(m, row_index) for m in all_faces}
+    ridges = sorted(complete_skeleton(n, d - 1))
+    bit = {r: 1 << i for i, r in enumerate(ridges)}
+    ridges_of = {m: [bit[m ^ 1 << v] for v in range(n) if m >> v & 1]
+                 for m in complete_skeleton(n, d)}
+    boundary = {m: sum(rs) for m, rs in ridges_of.items()}
+    cofaces = [sorted(r | 1 << v for v in range(n) if not r >> v & 1) for r in ridges]
+    count = dict.fromkeys(bit.values(), 0)
+    first = (1 << d + 1) - 1
+    chosen = [first]
+    taken = {first}  # the chosen faces and the siblings tried before them
+    basis = {boundary[first] & -boundary[first]: boundary[first]}  # by lowest bit
+    ones = 0  # the bitset of ridges that lie in exactly one chosen face
 
-    start = kruskal_generate(n, d, rng.randrange(1 << 60))
-    basis = [m for m in all_faces if m in start._masks]
-    basis_set = set(basis)
-    score = objective(basis_set)
-    steps = 0
-    while score > 0 and steps < _ANNEAL_MAX_STEPS:
-        steps += 1
-        i = rng.randrange(len(basis))
-        rest = basis[:i] + basis[i + 1 :]
-        state = IncrementalRank()
-        for m in rest:
-            state.add(columns[m])
-        outside = [m for m in all_faces if m not in basis_set]
-        rng.shuffle(outside)
-        for cand in outside[:_ANNEAL_WINDOW]:
-            if not state.reduce(columns[cand]):
-                continue  # would drop the rank
-            trial_set = set(rest)
-            trial_set.add(cand)
-            trial_score = objective(trial_set)
-            if trial_score <= score or rng.random() < _ANNEAL_UPHILL:
-                basis = rest + [cand]
-                basis_set = trial_set
-                score = trial_score
-                break
-    return basis if score == 0 else None
+    def place(m: int, step: int) -> None:
+        nonlocal ones
+        for b in ridges_of[m]:
+            k = count[b] = count[b] + step
+            if k == 1 or k == 1 + step:  # the count reached one or left it
+                ones ^= b
 
+    def grow() -> Iterator[list[int]]:
+        if not ones:
+            yield sorted(chosen)
+            return
+        tried = []
+        for c in cofaces[(ones & -ones).bit_length() - 1]:
+            if c in taken:
+                continue
+            v = boundary[c]
+            while v and (p := basis.get(v & -v)):
+                v ^= p
+            if not v:
+                continue
+            basis[v & -v] = v
+            taken.add(c)
+            chosen.append(c)
+            place(c, 1)
+            yield from grow()
+            place(c, -1)
+            chosen.pop()
+            del basis[v & -v]
+            tried.append(c)
+        taken.difference_update(tried)
 
-def _free_edge_count(basis_set) -> int:
-    degree: dict[int, int] = {}
-    for m in basis_set:
-        rest = m
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            degree[m ^ b] = degree.get(m ^ b, 0) + 1
-    return sum(1 for c in degree.values() if c == 1)
-
-
-def _expansion_move_count(n: int, d: int):
-    cofaces = complete_skeleton(n, d + 1)
-
-    def objective(basis_set) -> int:
-        moves = 0
-        for s in cofaces:
-            missing = 0
-            rest = s
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                if s ^ b not in basis_set:
-                    missing += 1
-                    if missing > 1:
-                        break
-            if missing == 1:
-                moves += 1
-        return moves
-
-    return objective
+    place(first, 1)
+    yield from grow()
 
 
-def _find_base(d: int, n: int, rng_seed: int, budget: int, out_dir: Optional[str],
-               objective, witness_of) -> CatalogEntry:
-    """Anneal spanning d-complexes on n vertices until objective reaches
-    zero, keep those with trivial torsion, and certify witness_of(X) by an
-    expansion to the full simplex.
+def find_base(n: int, d: int, out_dir: Optional[str] = None) -> Optional[CatalogEntry]:
+    """A stuck d-complex on n vertices with its expansion certificate: the
+    closure of the first stuck family that has support {1..n}, is
+    integrally acyclic and expands to the full simplex.
 
-    A spanning complex whose reduced boundary matrix is unimodular has
-    trivial integral homology, so the torsion order alone settles
-    acyclicity.  The witness is checked like a shipped one before it is
-    returned or written to out_dir.  Raises SearchBudgetExceeded with
-    statistics when the budget runs out.
+    The witness is checked like a shipped one before it is returned or
+    written to out_dir.  None once the families run out; as the expansion
+    search may miss, that proves no witness exists only when the search
+    yields no family at all, as it does for every refused pair with
+    2 <= d and n <= 12.
     """
-    rng = Random(rng_seed)
-    stats = {"attempts": 0, "annealed": 0, "torsion_rejects": 0, "expansion_rejects": 0}
-    started = time.time()
     name = f"base_{n}_{d}"
-    for _ in range(budget):
-        stats["attempts"] += 1
-        basis = _spanning_basis_anneal(n, d, rng, objective)
-        if basis is None:
+    for family in _stuck_families(n, d):
+        X = SimplicialComplex._from_masks(range(1, n + 1), _closure(family))
+        if len(X.support) < n or not homology(X).is_trivial():
             continue
-        stats["annealed"] += 1
-        X = _with_full_skeleton(n, d, basis)
-        if spanning_torsion_order(X, d) != 1:
-            stats["torsion_rejects"] += 1
-            continue
-        witness = witness_of(X)
-        cert = is_anticollapsible(witness, rng_seed=rng.randrange(1 << 60), restarts=64)
+        cert = is_anticollapsible(X, rng_seed=_CATALOG_VERIFY_SEED, restarts=64)
         if cert is None:
-            stats["expansion_rejects"] += 1
             continue
-        _check_witness(name, witness, d, cert, _WITNESS_CLAIMS)
+        _check_witness(name, X, d, cert, _WITNESS_CLAIMS)
         if out_dir is not None:
-            comments = [f"{name} discovered with seed {rng_seed}"]
-            write_witness(out_dir, name, witness, cert, comments)
-        return CatalogEntry(name, witness, _WITNESS_CLAIMS, witness.facets(), cert)
-    stats["seconds"] = round(time.time() - started, 1)
-    raise SearchBudgetExceeded(
-        f"no expandable no-free-face {d}-complex on {n} vertices found", stats
-    )
-
-
-def find_base_case(
-    rng_seed: int,
-    budget: int = 200,
-    n: int = 8,
-    out_dir: Optional[str] = None,
-) -> CatalogEntry:
-    """Search for a 2-dimensional complex on n vertices with no free faces
-    that expands to the full simplex, and certify it.
-
-    Spanning 2-complexes are perturbed by exchange moves until no edge lies
-    in exactly one triangle; survivors are filtered for integral acyclicity
-    and a replayable expansion certificate.
-    """
-    return _find_base(2, n, rng_seed, budget, out_dir, _free_edge_count, lambda X: X)
-
-
-def find_dim3_base(
-    rng_seed: int,
-    budget: int = 200,
-    out_dir: Optional[str] = None,
-) -> CatalogEntry:
-    """Search for a 3-dimensional no-free-face expandable complex on 8
-    vertices, as the dual of a collapsible spanning 3-complex that admits
-    no expansion move at all.
-
-    The dual of a spanning 3-complex on n vertices has dimension n - 5, so
-    8 is the only vertex count this search can serve.
-    """
-    return _find_base(3, 8, rng_seed, budget, out_dir, _expansion_move_count(8, 3),
-                      alexander_dual)
+            write_witness(out_dir, name, X, cert, [f"{name} found by the stuck-family search"])
+        return CatalogEntry(name, X, _WITNESS_CLAIMS, X.facets(), cert)
+    return None
 
 
 def write_witness(out_dir, name: str, X: SimplicialComplex, certificate: Certificate,
@@ -589,7 +527,8 @@ def theorem2_construct(n: int, d: int) -> ConstructionResult:
     exist exactly for n >= 8 with 2 <= d <= n - 4; every other pair is
     refused with the matching reason.  The certificate is composed from the
     bases' by the double-cone and stacking lemmas: no search, (n, d) only.
-    A faulty composition raises ClaimVerificationError or StepError.
+    A faulty composition raises ClaimVerificationError or StepError, and an
+    n whose simplex has more than MAX_FACES faces raises SizeError.
     """
     if not isinstance(n, int) or not isinstance(d, int) or n < 1 or d < 0:
         raise InputError(f"need integers n >= 1 and d >= 0, got n={n}, d={d}")
@@ -601,6 +540,7 @@ def theorem2_construct(n: int, d: int) -> ConstructionResult:
         return _refusal(REFUSE_TOP_DIMS)
     if n <= 7:
         return _refusal(REFUSE_SMALL_N)
+    check_face_count(1 << n, f"a witness on {n} vertices, expanded to the simplex,")
     X, steps = _witness(n, d)
     certificate = Certificate(ANTICOLLAPSE, steps, digest(X), digest(SimplicialComplex.simplex(n)))
     # one free-face scan and one replay, so a faulty composition fails here

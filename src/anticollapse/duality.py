@@ -27,7 +27,7 @@ from .collapse import (
     _collapse_masks,
     replay,
 )
-from .complexes import SimplicialComplex, digest
+from .complexes import SimplicialComplex, check_face_count, digest
 from .errors import InputError
 from .homology import _betti_numbers, _check_ring
 
@@ -36,9 +36,11 @@ def alexander_dual(X: SimplicialComplex) -> SimplicialComplex:
     """The dual complex on the same ground set.
 
     Its faces are the complements of the non-faces of X, so the rule is an
-    exact involution, the void and the empty complex included.
+    exact involution, the void and the empty complex included.  A ground
+    set with more than MAX_FACES subsets raises SizeError.
     """
     full = (1 << len(X.ground_set)) - 1
+    check_face_count(full + 1, "the dual")
     # m is a face of the dual iff its complement full ^ m is not a face of X
     faces = set(range(full + 1)).difference(full ^ m for m in X._masks)
     return SimplicialComplex._from_masks(X.ground_set, faces)

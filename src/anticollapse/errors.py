@@ -10,12 +10,5 @@ class StepError(InputError):
 
 
 class SizeError(InputError):
-    """An exhaustive computation was requested beyond its guard."""
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """A randomized search ran out of budget. Carries attempt statistics."""
-
-    def __init__(self, message: str, stats: dict | None = None):
-        super().__init__(message)
-        self.stats = dict(stats or {})
+    """A computation was requested beyond its guard: an exhaustive
+    enumeration, or a complex with more faces than complexes.MAX_FACES."""

@@ -3,11 +3,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import resource
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import anticollapse
 from anticollapse import collapse, constructions
 from anticollapse.cli import EXIT_FAIL, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, main
 from anticollapse.collapse import apply_step
@@ -223,6 +227,37 @@ def test_oversized_ground_directive_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def _cap_address_space():
+    # the 1.5 GB cap of the CI probes: a missing guard ends in MemoryError,
+    # not in a run that takes the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (" ".join(map(str, range(1, 31))) + "\n", ["homology", "FILE"]),
+        ("ground 40\n1 2\n", ["dual", "FILE"]),
+        ("ground 40\n1 2\n", ["anticollapse", "FILE", "--seed", "1"]),
+        ("", ["construct", "--n", "30", "--d", "2", "--seed", "1", "--out", "OUT"]),
+    ],
+    ids=["homology-facet-of-30", "dual-ground-40", "anticollapse-ground-40", "construct-n-30"],
+)
+def test_oversized_complexes_are_usage_errors(text, argv, tmp_path):
+    # each would build 2^30 or 2^40 faces; the size guard refuses it first
+    path = tmp_path / "big.facets"
+    path.write_text(text, encoding="utf-8")
+    argv = [{"FILE": str(path), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    env = {"PYTHONPATH": str(Path(anticollapse.__file__).parents[1])}
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "anticollapse.cli", *argv], env=env,
+                          capture_output=True, text=True, preexec_fn=_cap_address_space)
+    assert time.perf_counter() - started < 1
+    assert done.returncode == EXIT_USAGE
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "more than" in done.stderr
 
 
 @pytest.mark.parametrize(

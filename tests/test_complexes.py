@@ -15,12 +15,10 @@ from anticollapse.complexes import (
     digest,
     format_facet_file,
     from_facets,
-    hasse_edges,
     join,
     link_and_del,
     make_face,
     parse_facet_text,
-    pure_part,
     relabeled,
     skeleton,
 )
@@ -170,11 +168,6 @@ def test_skeleton_of_simplex_is_complete_graph():
     assert X.ground_set == frozenset(range(1, 9))
 
 
-def test_pure_part_drops_lower_facets():
-    X = from_facets([[1, 2, 3], [4, 5]])
-    assert pure_part(X) == from_facets([[1, 2, 3]], ground=X.ground_set)
-
-
 def test_downward_closure_exhaustive_small():
     rng = Random(5)
     for _ in range(30):
@@ -183,16 +176,6 @@ def test_downward_closure_exhaustive_small():
             for k in range(len(f)):
                 for g in combinations(f, k):
                     assert g in X.faces
-
-
-def test_hasse_lower_neighbor_counts():
-    X = from_facets([[1, 2, 3], [2, 3, 4]])
-    lower_count: dict = {}
-    for low, high in hasse_edges(X):
-        lower_count[high] = lower_count.get(high, 0) + 1
-    for f in X.faces:
-        if f:
-            assert lower_count[f] == len(f)
 
 
 def test_connected_components():

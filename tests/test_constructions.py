@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from importlib import resources
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -15,16 +18,18 @@ from anticollapse.collapse import (
     search_collapse,
     verify_matching_acyclic,
 )
-from anticollapse.complexes import SimplicialComplex, from_facets
+from anticollapse.complexes import SimplicialComplex, digest, from_facets, read_facet_file
 from anticollapse.constructions import (
+    _WITNESS_CLAIMS,
     Refusal,
+    _check_witness,
+    _stuck_families,
     _witness,
     admissible,
     catalog,
     double_cone,
     double_cone_labels,
-    find_base_case,
-    find_dim3_base,
+    find_base,
     lift_matching,
     load_base_case,
     stacking_move,
@@ -32,8 +37,9 @@ from anticollapse.constructions import (
 )
 from anticollapse import constructions, duality
 from anticollapse.duality import alexander_dual
-from anticollapse.errors import InputError, SearchBudgetExceeded, StepError
-from anticollapse.homology import homology
+from anticollapse.errors import InputError, StepError
+from anticollapse.homology import _mask_column, homology, smith_invariant_factors
+from anticollapse.hypertrees import complete_skeleton
 
 from conftest import random_complex, rp2
 
@@ -289,49 +295,64 @@ def test_stacking_move_rejects_non_facet():
         stacking_move(X, (1, 2, 4))
 
 
-# -- base discovery ------------------------------------------------------
+# -- the stuck-family search and base discovery ---------------------------
 
 
-def assert_writes_golden_files(out_dir, name):
-    # a seeded rediscovery writes the shipped files byte for byte
-    pkg = resources.files("anticollapse.data")
-    for suffix in ("facets", "cert"):
-        written = (out_dir / f"{name}.{suffix}").read_bytes()
-        assert written == (pkg / f"{name}.{suffix}").read_bytes(), suffix
+def test_no_stuck_family_on_refused_pairs():
+    # an exhaustive check of the refusals "n<=7" and "d>=n-3" up to 12
+    # vertices: no stuck d-complex on n vertices has its d-faces
+    for n in range(3, 13):
+        for d in range(2, n):
+            if not admissible(n, d):
+                assert next(_stuck_families(n, d), None) is None, (n, d)
 
 
-def test_find_base_case_recovers_golden_witness(tmp_path):
-    entry = find_base_case(rng_seed=20250808, budget=50, out_dir=str(tmp_path))
-    X = entry.complex
-    assert X.dim == 2 and X.support == frozenset(range(1, 9))
-    assert free_faces(X) == []
-    assert homology(X).is_trivial()
-    assert replay(X, entry.certificate).is_simplex()
-    assert_writes_golden_files(tmp_path, "base_8_2")
+def _stuck_families_by_brute_force(n, d):
+    # every subset of the d-faces with {1..d+1}, kept when no ridge lies in
+    # exactly one member and the boundaries have full rank over GF(2), read
+    # off the integer normal form as the odd invariant factors
+    first = (1 << d + 1) - 1
+    rest = [m for m in complete_skeleton(n, d) if m != first]
+    rows = {r: i for i, r in enumerate(complete_skeleton(n, d - 1))}
+    found = set()
+    for k in range(len(rest) + 1):
+        for extra in combinations(rest, k):
+            family = (first, *extra)
+            ridges = Counter(m & ~(1 << v) for m in family for v in range(n) if m >> v & 1)
+            if 1 in ridges.values():
+                continue
+            factors = smith_invariant_factors([_mask_column(m, rows) for m in family])
+            if sum(f % 2 for f in factors) == len(family):
+                found.add(frozenset(family))
+    return found
 
 
-def test_find_dim3_base_recovers_golden_witness(tmp_path):
-    entry = find_dim3_base(rng_seed=20250808, budget=50, out_dir=str(tmp_path))
-    X = entry.complex
-    assert X.dim == 3 and X.support == frozenset(range(1, 9))
-    assert free_faces(X) == []
-    assert replay(X, entry.certificate).is_simplex()
-    assert_writes_golden_files(tmp_path, "base_8_3")
+def test_stuck_family_search_agrees_with_brute_force():
+    pairs = [(n, d) for n in range(1, 16) for d in range(n) if comb(n, d + 1) <= 15]
+    for n, d in pairs:
+        searched = [frozenset(family) for family in _stuck_families(n, d)]
+        assert len(set(searched)) == len(searched), (n, d)
+        assert set(searched) == _stuck_families_by_brute_force(n, d), (n, d)
 
 
-def test_base_search_budget_statistics():
-    # seed 7 anneals every attempt and the torsion filter rejects each one
-    with pytest.raises(SearchBudgetExceeded) as info:
-        find_base_case(rng_seed=7, budget=4)
-    stats = dict(info.value.stats)
-    assert isinstance(stats.pop("seconds"), float)
-    assert stats == {"attempts": 4, "annealed": 4, "torsion_rejects": 4, "expansion_rejects": 0}
+FOUND_BASE_DIGESTS = {
+    2: "479d46a6e1f0e24962138356c80dcca972f0abcd3a7963cdcd04ce4a90a7978d",
+    3: "c991e9c33c64a3751e8a85569df30bc8812e25e9b06e45e430e3c3bacddefbda",
+}
 
 
-def test_base_search_always_fails_on_seven_vertices():
-    with pytest.raises(SearchBudgetExceeded) as info:
-        find_base_case(rng_seed=3, budget=40, n=7)
-    assert info.value.stats["attempts"] == 40
+@pytest.mark.parametrize("d", [2, 3])
+def test_find_base_is_deterministic_and_pinned(tmp_path, d):
+    entry = find_base(8, d, out_dir=str(tmp_path))
+    _check_witness(entry.name, entry.complex, d, entry.certificate, _WITNESS_CLAIMS)
+    assert digest(entry.complex) == FOUND_BASE_DIGESTS[d]
+    written = read_facet_file(tmp_path / f"base_8_{d}.facets")
+    assert written == entry.complex
+    assert (tmp_path / f"base_8_{d}.cert").read_text() == entry.certificate.to_json() + "\n"
+
+
+def test_find_base_returns_none_when_no_family_exists():
+    assert find_base(8, 5) is None
 
 
 def test_golden_bases_load_and_verify():
