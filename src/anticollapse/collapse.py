@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from random import Random
@@ -140,19 +139,21 @@ class MorseVector:
 # Engines below run on the face bitmasks of the complex they start from.
 # Only nonempty faces are cells; the empty face never enters the workbench.
 #
-# Searches keep a free-pair index: each free face maps to its unique coface,
-# and the free faces are bucketed by coface size.  In a closed family a face
-# is free exactly when it has degree 1 (a face covering its one coface would
-# give it a second).  Every move (collapse, expansion, removal of a facet)
-# inserts or removes facets one at a time, keeping the family closed after
-# each.  A facet has degree 0, and inserting or removing it changes degrees
-# only on its codimension-one faces, so only they are refreshed.  The index
-# is built on first use, so replay and apply_step, which validate with deg
-# alone, never pay for it.
+# Every engine (greedy search, backtracking, the random collapse procedure,
+# free_faces and core erosion) reads one index: the free faces by size.  In
+# a closed family a face is free exactly when it has degree 1 (a face
+# covering its one coface would give it a second), and the one coface is a
+# facet of size one more, found on demand for the faces a move takes.
+# Every move (collapse, expansion, removal of a facet) inserts or removes
+# facets one at a time, keeping the family closed after each.  A facet has
+# degree 0, and inserting or removing it changes degrees only on its
+# codimension-one faces, so only they can enter the index (at degree 1) or
+# leave it (at 0 or 2).  The index is built on first use, so replay and
+# apply_step, which validate with deg alone, never pay for it.
 
 
 class _Workbench:
-    __slots__ = ("base", "faces", "deg", "all_bits", "free", "buckets")
+    __slots__ = ("base", "faces", "deg", "all_bits", "free")
 
     def __init__(self, X: SimplicialComplex):
         self.base = X  # fixes the ground set and names faces in messages
@@ -160,8 +161,7 @@ class _Workbench:
         self.faces: set[int] = set(X._masks)
         self.faces.discard(0)
         self.deg: dict[int, int] = dict.fromkeys(self.faces, 0)
-        self.free: Optional[dict[int, int]] = None  # free face -> coface
-        self.buckets: dict[int, list[int]] = {}  # coface size -> sorted free faces
+        self.free: Optional[list[set[int]]] = None  # face size -> free faces
         for m in self.faces:
             if m & (m - 1):
                 rest = m
@@ -171,43 +171,41 @@ class _Workbench:
                     self.deg[m ^ b] += 1
 
     def copy(self) -> "_Workbench":
-        """An independent workbench in the same state, index included."""
+        """An independent workbench in the same state; both get the index."""
         new = _Workbench.__new__(_Workbench)
         new.base, new.all_bits = self.base, self.all_bits
         new.faces = set(self.faces)
         new.deg = dict(self.deg)
-        new.free, new.buckets = None, {}
-        if self.free is not None:
-            new.free = dict(self.free)
-            new.buckets = {k: ts[:] for k, ts in self.buckets.items()}
+        new.free = [set(ts) for ts in self.free_index()]
         return new
 
     def _insert(self, m: int) -> None:
         self.faces.add(m)
         self.deg.setdefault(m, 0)
-        indexed = self.free is not None
-        rest = m
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            sub = m ^ b
-            if sub:
-                self.deg[sub] = self.deg.get(sub, 0) + 1
-                if indexed:
-                    self._refresh(sub)
+        self._shift_ridges(m, 1)
 
     def _remove(self, m: int) -> None:
         self.faces.discard(m)
-        indexed = self.free is not None
+        self._shift_ridges(m, -1)
+
+    def _shift_ridges(self, m: int, delta: int) -> None:
+        """Add delta to the degree of each codimension-one face of the facet
+        m, filing a face in the index as it reaches degree 1 and out of it
+        as it leaves degree 1."""
+        free = None if self.free is None else self.free[m.bit_count() - 1]
         rest = m
         while rest:
             b = rest & -rest
             rest ^= b
             sub = m ^ b
             if sub:
-                self.deg[sub] -= 1
-                if indexed:
-                    self._refresh(sub)
+                k = self.deg.get(sub, 0) + delta
+                self.deg[sub] = k
+                if free is not None:
+                    if k == 1:
+                        free.add(sub)
+                    elif k == 1 + delta:
+                        free.discard(sub)
 
     def unique_coface(self, m: int) -> int:
         rest = self.all_bits & ~m
@@ -218,38 +216,25 @@ class _Workbench:
                 return m | b
         raise StepError(f"face {self.base.face_of(m)} has no coface")
 
-    # the free-pair index
+    # the free-face index
 
-    def free_index(self) -> dict[int, int]:
-        """Every free face mapped to its coface, built on first use."""
+    def free_index(self) -> list[set[int]]:
+        """The free faces by size, entry k holding those of k vertices;
+        built on first use."""
         if self.free is None:
-            self.free, self.buckets = {}, {}
+            self.free = [set() for _ in range(self.all_bits.bit_length() + 1)]
             for m in self.faces:
-                self._refresh(m)
+                if self.deg[m] == 1:
+                    self.free[m.bit_count()].add(m)
         return self.free
 
-    def _refresh(self, m: int) -> None:
-        """Recompute whether m is free and file it accordingly.  By closure
-        the one face covering m is a facet, so m is free iff its degree is 1."""
-        c = self.unique_coface(m) if m in self.faces and self.deg[m] == 1 else 0
-        old = self.free.get(m, 0)
-        if c == old:
-            return
-        if old:
-            del self.free[m]
-            bucket = self.buckets[old.bit_count()]
-            del bucket[bisect_left(bucket, m)]
-        if c:
-            self.free[m] = c
-            insort(self.buckets.setdefault(c.bit_count(), []), m)
+    def top_free_faces(self) -> list[int]:
+        """The free faces of the largest size that has any, sorted."""
+        return sorted(next((ts for ts in reversed(self.free_index()) if ts), ()))
 
     def free_pairs_at_max_dim(self) -> list[tuple[int, int]]:
         """Free pairs whose coface size is maximal; empty if none anywhere."""
-        free = self.free_index()
-        sizes = [k for k, ts in self.buckets.items() if ts]
-        if not sizes:
-            return []
-        return [(t, free[t]) for t in self.buckets[max(sizes)]]
+        return [(t, self.unique_coface(t)) for t in self.top_free_faces()]
 
     # moves
 
@@ -337,7 +322,8 @@ def free_faces(X: SimplicialComplex, allow_trivial: bool = False) -> list[StepPa
     """
     wb = _Workbench(X)
     face = X.face_of
-    pairs = [StepPair(face(t), face(c), COLLAPSE) for t, c in sorted(wb.free_index().items())]
+    free = sorted(t for ts in wb.free_index() for t in ts)
+    pairs = [StepPair(face(t), face(wb.unique_coface(t)), COLLAPSE) for t in free]
     if allow_trivial and wb.is_single_vertex():
         pairs.append(StepPair(EMPTY_FACE, face(next(iter(wb.faces))), COLLAPSE))
     return pairs
@@ -376,9 +362,7 @@ def certificate_matching(cert: Certificate) -> Matching:
     return Matching(frozenset((s.free, s.coface) for s in cert.steps if s.free))
 
 
-def core_erosion(
-    X: SimplicialComplex, rng_seed: int | None = None
-) -> tuple[SimplicialComplex, bool]:
+def core_erosion(X: SimplicialComplex) -> tuple[SimplicialComplex, bool]:
     """Exhaust top-dimensional collapses and report d-collapsibility.
 
     Repeatedly removes a (d-1)-face lying in exactly one d-face together
@@ -388,35 +372,22 @@ def core_erosion(
     certifies that no collapse order can do better.
     """
     wb = _Workbench(X)
-    eroded = _core_erosion(wb, X.dim, rng_seed)
+    eroded = _core_erosion(wb, X.dim)
     return wb.to_complex(), eroded
 
 
-def _core_erosion(wb: _Workbench, d: int, rng_seed: int | None = None) -> bool:
-    """core_erosion on the workbench of a d-complex, eroded in place.  The
-    erosion never reads the free-pair index, so pass a workbench without one."""
+def _core_erosion(wb: _Workbench, d: int) -> bool:
+    """core_erosion on the workbench of a d-complex, eroded in place: the
+    free (d-1)-faces of the index, in any order, until none is left."""
     if d < 1:
         raise InputError("erosion needs a complex of dimension at least 1")
-    rng = Random(rng_seed) if rng_seed is not None else None
-    top = d + 1  # mask size of d-faces
-    candidates = sorted(m for m in wb.faces if m.bit_count() == d and wb.deg[m] == 1)
-    while candidates:
-        if rng is None:
-            t = candidates.pop()
-        else:
-            t = candidates.pop(rng.randrange(len(candidates)))
-        if wb.deg.get(t, 0) != 1 or t not in wb.faces:
-            continue
-        c = wb.unique_coface(t)
-        wb.collapse(t, c)
-        rest = c
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            sub = c ^ b
-            if sub != t and wb.deg.get(sub, 0) == 1:
-                candidates.append(sub)
-    return all(m.bit_count() < top for m in wb.faces)
+    ridges = wb.free_index()[d]  # mask size d: the (d-1)-faces
+    while ridges:
+        # the top core is the same for every order; the collapse files the
+        # ridges of the coface it leaves free in this same set
+        t = ridges.pop()
+        wb.collapse(t, wb.unique_coface(t))
+    return all(m.bit_count() <= d for m in wb.faces)
 
 
 def _greedy_collapse(wb: _Workbench, rng: Random) -> list[tuple[int, int]]:
@@ -424,10 +395,11 @@ def _greedy_collapse(wb: _Workbench, rng: Random) -> list[tuple[int, int]]:
     until a single vertex or no free pair is left; the steps taken."""
     steps: list[tuple[int, int]] = []
     while not wb.is_single_vertex():
-        pairs = wb.free_pairs_at_max_dim()
-        if not pairs:
+        faces = wb.top_free_faces()
+        if not faces:
             break
-        t, c = pairs[rng.randrange(len(pairs))]
+        t = faces[rng.randrange(len(faces))]
+        c = wb.unique_coface(t)
         wb.collapse(t, c)
         steps.append((t, c))
     return steps
@@ -472,7 +444,6 @@ def _collapse_masks(
     """
     if not wb.faces:
         raise InputError("collapse search needs at least one vertex")
-    wb.free_index()
     rng = Random(rng_seed)
     for _ in range(max(1, restarts)):
         run = wb.copy()

@@ -23,7 +23,7 @@ from random import Random
 from typing import Iterable, Iterator, Optional
 
 from .collapse import _Workbench, _collapse_masks, _core_erosion
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, check_face_count
 from .duality import _dual_collapse, alexander_dual
 from .errors import InputError, SizeError
 from .homology import (
@@ -61,10 +61,14 @@ def kruskal_generate(n: int, d: int, rng_seed: int) -> SimplicialComplex:
 
     Candidate d-faces are visited in a seeded random order, once each, and a
     candidate is kept exactly when its boundary column is independent of the
-    kept ones over Q.  Stops at C(n-1, d) kept faces.
+    kept ones over Q.  Stops at C(n-1, d) kept faces.  Raises SizeError,
+    before building anything, when the complete d-skeleton has more than
+    MAX_FACES faces.
     """
     if d + 1 < 2 or n < d + 1:
         raise InputError(f"need n >= d+1 >= 2, got n={n}, d={d}")
+    check_face_count(sum(comb(n, k + 1) for k in range(d + 1)),
+                     f"the complete {d}-skeleton on {n} vertices")
     rng = Random(rng_seed)
     candidates = complete_skeleton(n, d)
     rng.shuffle(candidates)
@@ -180,7 +184,7 @@ def is_hypertree(
         torsion = _finite_order(profile, d - 1) if q_acyclic else 0
 
     wb = _Workbench(X)
-    d_collapsible = _core_erosion(wb.copy(), d)
+    d_collapsible = _core_erosion(wb.copy(), d)  # the copy builds wb's index
     if not d_collapsible:
         collapsible = REFUTED
     else:
@@ -203,7 +207,7 @@ def is_hypertree(
         d_collapsible=d_collapsible,
         collapsible=collapsible,
         anticollapsible=anticollapsible,
-        free_face_count=len(wb.free_index()),
+        free_face_count=sum(map(len, wb.free_index())),
     )
 
 

@@ -242,11 +242,14 @@ def _cap_address_space():
         ("ground 40\n1 2\n", ["dual", "FILE"]),
         ("ground 40\n1 2\n", ["anticollapse", "FILE", "--seed", "1"]),
         ("", ["construct", "--n", "30", "--d", "2", "--seed", "1", "--out", "OUT"]),
+        ("", ["kruskal", "--n", "40", "--d", "20", "--seed", "1"]),
+        ("", ["survey", "--n", "40", "--d", "20", "--trials", "1", "--seed", "1"]),
     ],
-    ids=["homology-facet-of-30", "dual-ground-40", "anticollapse-ground-40", "construct-n-30"],
+    ids=["homology-facet-of-30", "dual-ground-40", "anticollapse-ground-40", "construct-n-30",
+         "kruskal-n-40-d-20", "survey-n-40-d-20"],
 )
 def test_oversized_complexes_are_usage_errors(text, argv, tmp_path):
-    # each would build 2^30 or 2^40 faces; the size guard refuses it first
+    # each would build 2^30 or more faces; the size guard refuses it first
     path = tmp_path / "big.facets"
     path.write_text(text, encoding="utf-8")
     argv = [{"FILE": str(path), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -27,6 +29,8 @@ from anticollapse.complexes import (
     from_facets,
     link_and_del,
 )
+from anticollapse.constructions import _witness, catalog
+from anticollapse.duality import alexander_dual
 from anticollapse.errors import InputError, StepError
 from anticollapse.homology import homology
 
@@ -205,17 +209,40 @@ def test_core_erosion_of_cycle():
     assert residue == X  # it is its own core
 
 
-def test_core_erosion_order_independent():
+def peel_top_core(X: SimplicialComplex) -> set[tuple[int, ...]]:
+    """The top core by definition: drop every d-face with a ridge in no
+    other d-face, all at once, until no d-face has such a ridge."""
+    d = X.dim
+    core = set(X.faces_of_dim(d))
+    while True:
+        count = Counter(r for f in core for r in combinations(f, d))
+        peeled = {f for f in core if any(count[r] == 1 for r in combinations(f, d))}
+        if not peeled:
+            return core
+        core -= peeled
+
+
+def test_core_erosion_matches_peeling():
     rng = Random(19)
-    tried = 0
-    while tried < 25:
+    cases = []
+    while len(cases) < 25:
         X = random_complex(rng, max_vertices=7)
-        if X.dim < 1:
-            continue
-        outcomes = {core_erosion(X, rng_seed=s)[1] for s in range(10)}
-        outcomes.add(core_erosion(X)[1])
-        assert len(outcomes) == 1
-        tried += 1
+        if X.dim >= 1:
+            cases.append(X)
+    C = catalog("C38_3").complex
+    cases += [C, alexander_dual(C)]
+    cases += [alexander_dual(_witness(10, d)[0]) for d in range(2, 7)]
+    for X in cases:
+        d = X.dim
+        core = peel_top_core(X)
+        residue, collapsible = core_erosion(X)
+        assert set(residue.faces_of_dim(d)) == core
+        assert collapsible == (not core)
+        # each collapse takes one d-face and one (d-1)-face
+        counts = [X.n_faces(k) for k in range(d + 1)]
+        counts[d - 1] -= counts[d] - len(core)
+        counts[d] = len(core)
+        assert [residue.n_faces(k) for k in range(d + 1)] == counts
 
 
 def test_search_collapse_simplices_first_attempt():

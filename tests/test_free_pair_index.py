@@ -1,4 +1,4 @@
-"""The incremental free-pair index of the collapse workbench, checked after
+"""The incremental free-face index of the collapse workbench, checked after
 every move against a rescan of the face set, and seeded outputs pinned."""
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from anticollapse.collapse import (
     _backtrack_collapse,
     _collapse_masks,
+    _core_erosion,
     _Workbench,
     free_faces,
     random_discrete_morse,
@@ -41,6 +42,14 @@ def rescan_index(wb: _Workbench) -> dict[int, int]:
     return index
 
 
+def by_size(wb: _Workbench, index: dict[int, int]) -> list[set[int]]:
+    """The free faces of a rescanned index as the workbench files them."""
+    free: list[set[int]] = [set() for _ in range(wb.all_bits.bit_length() + 1)]
+    for t in index:
+        free[t.bit_count()].add(t)
+    return free
+
+
 def top_pairs(index: dict[int, int]) -> list[tuple[int, int]]:
     """The free pairs of a rescanned index whose coface size is maximal."""
     if not index:
@@ -61,7 +70,7 @@ def checked_moves():
             step(self, m)
             if self.free is not None:
                 index = rescan_index(self)
-                assert self.free == index
+                assert self.free == by_size(self, index)
                 assert self.free_pairs_at_max_dim() == top_pairs(index)
                 count[0] += 1
 
@@ -83,10 +92,14 @@ def test_rescan_oracle_on_small_cases():
 def test_index_matches_rescan_when_built():
     rng = Random(31)
     for _ in range(60):
-        wb = _Workbench(random_complex(rng, 7))
+        X = random_complex(rng, 7)
+        wb = _Workbench(X)
         index = rescan_index(wb)
-        assert wb.free_index() == index
+        assert wb.free_index() == by_size(wb, index)
         assert wb.free_pairs_at_max_dim() == top_pairs(index)
+        face = X.face_of
+        assert [(s.free, s.coface) for s in free_faces(X)] == [
+            (face(t), face(c)) for t, c in sorted(index.items())]
 
 
 def test_greedy_runs_on_random_complexes():
@@ -117,11 +130,25 @@ def test_backtracking_collapses_and_expands():
                 continue
             tried += 1
             wb = _Workbench(X)
-            wb.free_index()
-            before = (set(wb.faces), dict(wb.free))
+            before = (set(wb.faces), [set(ts) for ts in wb.free_index()])
             _backtrack_collapse(wb, 2_000)
             assert (wb.faces, wb.free) == before
     assert count[0] > 200
+
+
+def test_core_erosion_on_the_index():
+    rng = Random(5)
+    cases = [random_complex(rng, 7) for _ in range(40)]
+    trees = [kruskal_generate(8, 3, seed) for seed in range(5)]
+    cases += trees + [alexander_dual(X) for X in trees]
+    cases += [alexander_dual(_witness(10, d)[0]) for d in range(2, 7)]
+    with checked_moves() as count:
+        for X in cases:
+            if X.dim >= 1:
+                wb = _Workbench(X)
+                _core_erosion(wb, X.dim)
+                assert not wb.free[X.dim]
+    assert count[0] > 600
 
 
 @st.composite
