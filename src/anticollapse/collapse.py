@@ -193,14 +193,15 @@ class _Workbench:
         m, filing a face in the index as it reaches degree 1 and out of it
         as it leaves degree 1."""
         free = None if self.free is None else self.free[m.bit_count() - 1]
+        deg = self.deg
         rest = m
         while rest:
             b = rest & -rest
             rest ^= b
             sub = m ^ b
             if sub:
-                k = self.deg.get(sub, 0) + delta
-                self.deg[sub] = k
+                k = deg.get(sub, 0) + delta
+                deg[sub] = k
                 if free is not None:
                     if k == 1:
                         free.add(sub)
@@ -230,7 +231,10 @@ class _Workbench:
 
     def top_free_faces(self) -> list[int]:
         """The free faces of the largest size that has any, sorted."""
-        return sorted(next((ts for ts in reversed(self.free_index()) if ts), ()))
+        for ts in reversed(self.free_index()):
+            if ts:
+                return sorted(ts)
+        return []
 
     def free_pairs_at_max_dim(self) -> list[tuple[int, int]]:
         """Free pairs whose coface size is maximal; empty if none anywhere."""
@@ -441,15 +445,25 @@ def _collapse_masks(
     the end workbench and mask steps of a full collapse, or None.  wb must
     hold a vertex and is left as it was, apart from its index, which gets
     built.  Backtracking runs only up to _BACKTRACK_FACE_LIMIT faces.
+
+    The search gives up, with no further restart and no backtracking, as
+    soon as a greedy run stops with a face of the starting top size left.
+    Greedy takes free ridges first, so every run does the whole top
+    erosion, whose fixed point, the top core, does not depend on the order;
+    a face of the core keeps every ridge at degree 2 or more, so no
+    collapse order ever removes it.
     """
     if not wb.faces:
         raise InputError("collapse search needs at least one vertex")
+    top = max(m.bit_count() for m in wb.faces)
     rng = Random(rng_seed)
     for _ in range(max(1, restarts)):
         run = wb.copy()
         steps = _greedy_collapse(run, rng)
         if run.is_single_vertex():
             return run, steps
+        if any(m.bit_count() == top for m in run.faces):
+            return None  # a nonempty top core
     if backtrack and 0 < sum(1 for m in wb.faces if m & (m - 1)) <= _BACKTRACK_FACE_LIMIT:
         run = wb.copy()
         steps = _backtrack_collapse(run, _BACKTRACK_NODE_BUDGET)

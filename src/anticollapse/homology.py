@@ -96,10 +96,12 @@ class IncrementalRank:
     """Column-by-column rank maintenance over Q, on sparse integer columns.
 
     Keeps an integer echelon basis with primitive columns (content 1), each
-    pivoting on its minimal nonzero row.  Adding a column reports whether it
-    was independent of the basis; dependent columns are discarded.  The state
-    is single-owner mutable.  It serves the online independence tests; batch
-    questions go through smith_invariant_factors.
+    pivoting on its minimal nonzero row.  A pivot entry +-1 clears its row
+    in place, as in smith_invariant_factors; any other takes a fraction-free
+    step.  Adding a column reports whether it was independent of the basis;
+    dependent columns are discarded.  The state is single-owner mutable.  It
+    serves the online independence tests; batch questions go through
+    smith_invariant_factors.
     """
 
     def __init__(self) -> None:
@@ -117,6 +119,9 @@ class IncrementalRank:
             if pivot is None:
                 return _normalize(col)
             a = pivot[r]
+            if a in (1, -1):
+                _subtract(col, pivot, r)
+                continue
             b = col[r]
             new: dict[int, int] = {}
             for row in col.keys() | pivot.keys():

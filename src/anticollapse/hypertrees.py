@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
 from random import Random
@@ -50,10 +51,20 @@ def complete_skeleton(n: int, d: int) -> list[int]:
     return [sum(c) for c in combinations([1 << i for i in range(n)], d + 1)]
 
 
+@lru_cache(maxsize=8)
+def _skeleton(n: int, k: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """complete_skeleton(n, k) and the row index of its masks, made once per
+    (n, k) and shared: callers must not change them."""
+    masks = tuple(complete_skeleton(n, k))
+    return masks, {m: i for i, m in enumerate(masks)}
+
+
 def _with_full_skeleton(n: int, d: int, tops: Iterable[int]) -> SimplicialComplex:
     """The complete (d-1)-skeleton on {1..n} together with the top masks."""
-    lower = (m for k in range(d) for m in complete_skeleton(n, k))
-    return SimplicialComplex._from_masks(range(1, n + 1), {0, *lower, *tops})
+    faces = {0, *tops}
+    for k in range(d):
+        faces.update(_skeleton(n, k)[0])
+    return SimplicialComplex._from_masks(range(1, n + 1), faces)
 
 
 def kruskal_generate(n: int, d: int, rng_seed: int) -> SimplicialComplex:
@@ -70,9 +81,9 @@ def kruskal_generate(n: int, d: int, rng_seed: int) -> SimplicialComplex:
     check_face_count(sum(comb(n, k + 1) for k in range(d + 1)),
                      f"the complete {d}-skeleton on {n} vertices")
     rng = Random(rng_seed)
-    candidates = complete_skeleton(n, d)
+    candidates = list(_skeleton(n, d)[0])
     rng.shuffle(candidates)
-    row_index = {m: i for i, m in enumerate(complete_skeleton(n, d - 1))}
+    row_index = _skeleton(n, d - 1)[1]
     state = IncrementalRank()
     target = comb(n - 1, d)
     accepted: list[int] = []
@@ -164,8 +175,11 @@ def is_hypertree(
     surviving top-dimensional core (on the complex or on its dual), or
     unknown within the search budget.  No certificate is built; the found
     cases are exactly those where search_collapse and is_anticollapsible,
-    with the same seeds and backtracking off, return one.
+    with the same seeds and backtracking off, return one.  The searches run
+    first, and the top core is eroded only for a search that failed.
     """
+    if d < 1:
+        raise InputError(f"hypertrees have dimension at least 1, got {d}")
     if X.dim != d:
         raise InputError(f"expected a complex of dimension {d}, got {X.dim}")
     n = len(X.ground_set)
@@ -183,21 +197,24 @@ def is_hypertree(
         q_acyclic = not any(profile.betti)
         torsion = _finite_order(profile, d - 1) if q_acyclic else 0
 
+    # Search first and erode only when the search fails: a full collapse
+    # removes every top face, so its top core is empty.
     wb = _Workbench(X)
-    d_collapsible = _core_erosion(wb.copy(), d)  # the copy builds wb's index
-    if not d_collapsible:
-        collapsible = REFUTED
+    if _collapse_masks(wb, rng_seed, restarts, backtrack=False) is not None:
+        d_collapsible, collapsible = True, FOUND
     else:
-        found = _collapse_masks(wb, rng_seed, restarts, backtrack=False)
-        collapsible = FOUND if found is not None else UNKNOWN
+        d_collapsible = _core_erosion(wb.copy(), d)  # wb keeps its free faces
+        collapsible = UNKNOWN if d_collapsible else REFUTED
 
     dual = alexander_dual(X)
     dual_wb = _Workbench(dual)
-    if dual.dim >= 1 and not _core_erosion(dual_wb.copy(), dual.dim):
+    dual_seed = _derive_seed(rng_seed, 1)
+    if _dual_collapse(X, dual_wb, dual_seed, restarts, backtrack=False) is not None:
+        anticollapsible = FOUND
+    elif dual.dim >= 1 and not _core_erosion(dual_wb, dual.dim):
         anticollapsible = REFUTED
     else:
-        found = _dual_collapse(X, dual_wb, _derive_seed(rng_seed, 1), restarts, backtrack=False)
-        anticollapsible = FOUND if found is not None else UNKNOWN
+        anticollapsible = UNKNOWN
 
     return HypertreeReport(
         complex=X,
@@ -224,8 +241,8 @@ def kalai_check(n: int, d: int) -> tuple[int, int, bool]:
             f"exhaustive enumeration guard: C({n},{d + 1}) = {total_candidates} > 25"
         )
     target = comb(n - 1, d)
-    row_index = {m: i for i, m in enumerate(complete_skeleton(n, d - 1))}
-    columns = [_mask_column(m, row_index) for m in complete_skeleton(n, d)]
+    row_index = _skeleton(n, d - 1)[1]
+    columns = [_mask_column(m, row_index) for m in _skeleton(n, d)[0]]
     weighted_sum = 0
     for subset in combinations(columns, target):
         factors = smith_invariant_factors(list(subset))

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import contextmanager
 from itertools import combinations
 from random import Random
+from unittest import mock
 
 import pytest
 
+from anticollapse import collapse
 from anticollapse.collapse import (
     ANTICOLLAPSE,
     COLLAPSE,
@@ -29,12 +32,12 @@ from anticollapse.complexes import (
     from_facets,
     link_and_del,
 )
-from anticollapse.constructions import _witness, catalog
+from anticollapse.constructions import _witness, catalog, load_base_case
 from anticollapse.duality import alexander_dual
 from anticollapse.errors import InputError, StepError
 from anticollapse.homology import homology
 
-from conftest import random_complex
+from conftest import random_complex, rp2
 
 
 def test_free_faces_of_full_triangle():
@@ -222,6 +225,21 @@ def peel_top_core(X: SimplicialComplex) -> set[tuple[int, ...]]:
         core -= peeled
 
 
+def pure_complexes() -> list[SimplicialComplex]:
+    """Seeded pure d-complexes, d = 1..3, with 3 to three quarters of the
+    d-faces on 6 or 7 vertices: their top cores range from empty through
+    partial erosions to the whole top."""
+    rng = Random(23)
+    cases = []
+    for _ in range(30):
+        n = rng.choice((6, 7))
+        d = rng.randint(1, 3)
+        tops = list(combinations(range(1, n + 1), d + 1))
+        facets = rng.sample(tops, rng.randint(3, 3 * len(tops) // 4))
+        cases.append(from_facets(facets, ground=range(1, n + 1)))
+    return cases
+
+
 def test_core_erosion_matches_peeling():
     rng = Random(19)
     cases = []
@@ -229,8 +247,11 @@ def test_core_erosion_matches_peeling():
         X = random_complex(rng, max_vertices=7)
         if X.dim >= 1:
             cases.append(X)
+    pure = pure_complexes()
+    # several of them erode only partly
+    assert sum(0 < len(peel_top_core(X)) < X.n_faces(X.dim) for X in pure) >= 5
     C = catalog("C38_3").complex
-    cases += [C, alexander_dual(C)]
+    cases += pure + [C, alexander_dual(C)]
     cases += [alexander_dual(_witness(10, d)[0]) for d in range(2, 7)]
     for X in cases:
         d = X.dim
@@ -278,6 +299,45 @@ def test_search_collapse_deterministic_given_seed():
     a = search_collapse(X, rng_seed=99)
     b = search_collapse(X, rng_seed=99)
     assert a == b
+
+
+@contextmanager
+def counted_search():
+    """Count the greedy runs and backtracking searches of the collapse
+    search; yields a Counter keyed by function name."""
+    calls = Counter()
+
+    def counted(real):
+        def run(*args):
+            calls[real.__name__] += 1
+            return real(*args)
+
+        return run
+
+    with mock.patch.object(collapse, "_greedy_collapse", counted(collapse._greedy_collapse)), \
+            mock.patch.object(collapse, "_backtrack_collapse", counted(collapse._backtrack_collapse)):
+        yield calls
+
+
+def test_search_stops_at_a_stuck_top_core():
+    # one greedy run reaches the top core, which no collapse removes, so
+    # neither a restart nor backtracking follows it
+    stuck = [X for X in pure_complexes() if peel_top_core(X)]
+    stuck += [rp2(), load_base_case(2).complex]
+    assert any(sum(1 for f in X.faces if len(f) > 1) <= 25 for X in stuck)  # backtrackable
+    for seed, X in enumerate(stuck):
+        with counted_search() as calls:
+            assert search_collapse(X, rng_seed=seed, restarts=64, backtrack=True) is None
+        assert calls == {"_greedy_collapse": 1}
+
+
+def test_search_restarts_when_the_top_erodes():
+    # the triangle erodes and the 1-cycle is left below the top: every
+    # restart runs, and then backtracking
+    X = from_facets([(1, 2, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+    with counted_search() as calls:
+        assert search_collapse(X, rng_seed=1, restarts=8, backtrack=True) is None
+    assert calls == {"_greedy_collapse": 8, "_backtrack_collapse": 1}
 
 
 def test_collapsible_complexes_are_integrally_acyclic(rng):

@@ -384,20 +384,31 @@ def test_adds_top_cycle_preconditions():
 
 
 def test_incremental_rank_matches_batch():
+    # every verdict of add is the rank increase over Q; columns with entries
+    # +-1 only and columns with entries up to 3 are mixed, so both the
+    # in-place step at a +-1 pivot (_subtract) and the fraction-free step
+    # (one _normalize each, besides the one for every new pivot) run
+    homology_module = importlib.import_module("anticollapse.homology")
     rng = Random(43)
-    for _ in range(50):
-        n_rows = rng.randint(1, 7)
-        cols = []
-        for _ in range(rng.randint(1, 8)):
-            col = {i: rng.randint(-3, 3) for i in range(n_rows)}
-            cols.append({k: v for k, v in col.items() if v})
-        state = IncrementalRank()
-        dense = []
-        for col in cols:
-            state.add(col)
-            dense.append([col.get(i, 0) for i in range(n_rows)])
-        transposed = [[dense[j][i] for j in range(len(dense))] for i in range(n_rows)]
-        assert state.rank == fraction_rank(transposed)
+    independent = 0
+    with mock.patch.object(homology_module, "_subtract", wraps=homology_module._subtract) as unit, \
+            mock.patch.object(homology_module, "_normalize", wraps=homology_module._normalize) as norm:
+        for _ in range(80):
+            n_rows = rng.randint(1, 7)
+            state = IncrementalRank()
+            rows: list[list[int]] = [[] for _ in range(n_rows)]
+            for _ in range(rng.randint(1, 8)):
+                bound = rng.choice((1, 3))
+                col = {i: rng.randint(-bound, bound) for i in range(n_rows)}
+                before = fraction_rank(rows)
+                for i, row in enumerate(rows):
+                    row.append(col[i])
+                grew = state.add({k: v for k, v in col.items() if v})
+                independent += grew
+                assert grew == (fraction_rank(rows) > before)
+            assert state.rank == fraction_rank(rows)
+    assert unit.call_count > 0
+    assert norm.call_count > independent
 
 
 def test_homology_profile_str():

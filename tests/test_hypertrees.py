@@ -10,14 +10,14 @@ import hashlib
 
 import pytest
 
-from anticollapse.collapse import search_collapse
+from anticollapse.collapse import core_erosion, search_collapse
 from anticollapse.complexes import (
     SimplicialComplex,
     connected_components,
     from_facets,
     relabeled,
 )
-from anticollapse.duality import is_anticollapsible
+from anticollapse.duality import alexander_dual, is_anticollapsible
 from anticollapse.errors import InputError, SizeError
 from anticollapse.homology import (
     IncrementalRank,
@@ -187,6 +187,11 @@ def test_sphere_is_not_a_hypertree():
 def test_is_hypertree_checks_dimension():
     with pytest.raises(InputError):
         is_hypertree(from_facets([[1, 2]]), 2)
+    # a hypertree has dimension at least 1, even where the collapse search
+    # alone would succeed (a single vertex)
+    for points in ([[1]], [[1], [2]]):
+        with pytest.raises(InputError):
+            is_hypertree(from_facets(points), 0)
 
 
 def test_kalai_check_4_2():
@@ -304,14 +309,25 @@ def test_classification_agrees_with_certificate_search():
     # FOUND must mean exactly that the public searches, with the same seeds
     # and no backtracking, return a certificate; the handpicked complexes
     # add cases where the search fails (a 1-cycle next to a triangle) or a
-    # core refutes (the projective plane)
+    # core refutes (the projective plane), and the duals of both, where the
+    # same happens to the expansion
     cases = [(seed, r.complex) for seed, r in survey(7, 2, 30, rng_seed=2024)]
     cycle = from_facets([(1, 2, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
     cases += [(1, cycle), (5, rp2()), (2, SimplicialComplex.simplex(4))]
-    outcomes = set()
+    cases += [(3, alexander_dual(cycle)), (4, alexander_dual(rp2()))]
+    outcomes, anti_outcomes = set(), set()
     for seed, X in cases:
         report = is_hypertree(X, X.dim, rng_seed=seed, restarts=8)
         outcomes.add(report.collapsible)
+        anti_outcomes.add(report.anticollapsible)
+        # refuted-by-core exactly when the erosion leaves top faces, which
+        # is what d_collapsible records, found or not
+        eroded = core_erosion(X)[1]
+        assert report.d_collapsible == eroded
+        assert (report.collapsible == REFUTED) == (not eroded)
+        dual = alexander_dual(X)
+        dual_stuck = dual.dim >= 1 and not core_erosion(dual)[1]
+        assert (report.anticollapsible == REFUTED) == dual_stuck
         if report.collapsible != REFUTED:
             cert = search_collapse(X, rng_seed=seed, restarts=8, backtrack=False)
             assert (report.collapsible == FOUND) == (cert is not None)
@@ -320,4 +336,4 @@ def test_classification_agrees_with_certificate_search():
                 X, rng_seed=_derive_seed(seed, 1), restarts=8, backtrack=False
             )
             assert (report.anticollapsible == FOUND) == (anti is not None)
-    assert outcomes == {FOUND, REFUTED, UNKNOWN}
+    assert outcomes == anti_outcomes == {FOUND, REFUTED, UNKNOWN}
