@@ -6,16 +6,16 @@ empty-face row of the degree-0 boundary map, so every computation here is
 reduced.
 
 Every question over Z, Q and GF(p) is answered from the integer normal form
-of the boundary maps: columns are reduced against unit pivots, which give
-invariant factors 1, and a dense Smith loop runs only on the few columns
-left over; ranks over Q and GF(p) are read off the factors.
+of the boundary maps, made by the one elimination engine IncrementalRank:
+columns are reduced against unit pivots, which give invariant factors 1, and
+a dense Smith loop runs only on the few columns set aside; ranks over Q and
+GF(p) are read off the factors.
 Arithmetic is on Python integers, so there is no overflow to detect.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
 from typing import Sequence
 
 from .complexes import Face, SimplicialComplex
@@ -80,63 +80,69 @@ def boundary_matrix(X: SimplicialComplex, i: int) -> BoundaryMatrix:
 # -- exact elimination -------------------------------------------------
 
 
-def _normalize(col: dict[int, int]) -> dict[int, int]:
-    """Divide a sparse integer column by the gcd of its entries."""
-    g = 0
-    for v in col.values():
-        g = gcd(g, v)
-        if g == 1:
-            return col
-    if g > 1:
-        return {r: v // g for r, v in col.items()}
-    return col
-
-
 class IncrementalRank:
-    """Column-by-column rank maintenance over Q, on sparse integer columns.
+    """The one elimination engine over Z, on sparse integer columns.
 
-    Keeps an integer echelon basis with primitive columns (content 1), each
-    pivoting on its minimal nonzero row.  A pivot entry +-1 clears its row
-    in place, as in smith_invariant_factors; any other takes a fraction-free
-    step.  Adding a column reports whether it was independent of the basis;
-    dependent columns are discarded.  The state is single-owner mutable.  It
-    serves the online independence tests; batch questions go through
-    smith_invariant_factors.
+    A column is filed by reducing it against unit pivots while its least
+    row has one; a remainder led by +-1 becomes the pivot of that row, any
+    other nonzero remainder is set aside.  Ordered by row, the pivots form a
+    unimodular triangular block (invariant factors 1); the set-aside columns,
+    cleared on every pivot row, hold the rest of the normal form.  add files
+    a column only if it enlarges the span over Q, for Kruskal's online test;
+    smith_invariant_factors files every column.  Single-owner mutable state.
     """
 
     def __init__(self) -> None:
         self._pivots: dict[int, dict[int, int]] = {}
+        self._rest: list[dict[int, int]] = []
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self._pivots) + len(self._rest)
 
-    def reduce(self, col: dict[int, int]) -> dict[int, int]:
-        col = {r: v for r, v in col.items() if v}
-        while col:
-            r = min(col)
+    def _reduce(self, col: dict[int, int]) -> dict[int, int]:
+        """A copy of col reduced against unit pivots while its least row
+        has one."""
+        work = {r: v for r, v in col.items() if v}
+        while work:
+            r = min(work)
             pivot = self._pivots.get(r)
             if pivot is None:
-                return _normalize(col)
-            a = pivot[r]
-            if a in (1, -1):
-                _subtract(col, pivot, r)
-                continue
-            b = col[r]
-            new: dict[int, int] = {}
-            for row in col.keys() | pivot.keys():
-                val = a * col.get(row, 0) - b * pivot.get(row, 0)
-                if val:
-                    new[row] = val
-            col = _normalize(new)
-        return col
+                break
+            _subtract(work, pivot, r)
+        return work
+
+    def _file(self, work: dict[int, int]) -> None:
+        """Keep a nonzero remainder as a pivot or set it aside."""
+        r = min(work)
+        if work[r] in (1, -1):
+            self._pivots[r] = work
+        else:
+            self._rest.append(work)
+
+    def _cleared(self, columns: list[dict[int, int]]) -> list[dict[int, int]]:
+        """Clear columns in place on every pivot row, in increasing order."""
+        order = sorted(self._pivots)
+        for work in columns:
+            for r in order:
+                if r in work:
+                    _subtract(work, self._pivots[r], r)
+        return columns
 
     def add(self, col: dict[int, int]) -> bool:
-        """Insert a column; True iff it enlarged the column span."""
-        reduced = self.reduce(col)
-        if not reduced:
+        """Insert a column; True iff it enlarged the column span over Q.
+
+        A nonzero remainder may still depend on set-aside columns, even when
+        led by +-1 ({0: 2}, then {0: 1}); those kept are independent, so it
+        counts iff it lifts the dense-loop rank of the cleared ones.
+        """
+        work = self._reduce(col)
+        if not work:
             return False
-        self._pivots[min(reduced)] = reduced
+        if self._rest:
+            if len(_smith_diagonal(self._cleared(self._rest + [work]))) == len(self._rest):
+                return False
+        self._file(work)
         return True
 
 
@@ -151,41 +157,12 @@ def _subtract(work: dict[int, int], pivot: dict[int, int], r: int) -> None:
             del work[row]
 
 
-def smith_invariant_factors(columns: list[dict[int, int]]) -> list[int]:
-    """Nonzero diagonal of the integer normal form, in divisibility order.
-
-    The matrix is given by its sparse columns (row index -> entry).  They
-    are reduced left to right against unit pivots: a column whose least
-    remaining entry is +-1 becomes the pivot of that row, any other nonzero
-    column is set aside.  Ordered by row, the pivots form a lower triangular
-    block with a +-1 diagonal, which is unimodular and contributes factors 1.
-    The set-aside columns are then cleared on every pivot row, in increasing
-    row order, and a dense Smith loop runs on what is left (tiny or empty
-    for boundary maps).  It records a pivot of least absolute value only
-    once the pivot divides every entry left, so the factors come out in
-    divisibility order.  Only unimodular row and column operations are
-    used, so the factors are exact.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    rest: list[dict[int, int]] = []
-    for col in columns:
-        work = {r: v for r, v in col.items() if v}
-        while work:
-            r = min(work)
-            if r not in pivots:
-                if work[r] in (1, -1):
-                    pivots[r] = work
-                else:
-                    rest.append(work)
-                break
-            _subtract(work, pivots[r], r)
-    order = sorted(pivots)
-    for work in rest:
-        for r in order:
-            if r in work:
-                _subtract(work, pivots[r], r)
-    # Dense rows of the set-aside columns, over the rows they still touch.
-    a = [[work.get(r, 0) for work in rest] for r in sorted({r for work in rest for r in work})]
+def _smith_diagonal(columns: list[dict[int, int]]) -> list[int]:
+    """Dense Smith loop on a few sparse columns: it records a pivot of least
+    absolute value only once the pivot divides every entry left, so the
+    factors come out in divisibility order, exact by unimodular operations."""
+    # Dense rows of the columns, over the rows they touch.
+    a = [[work.get(r, 0) for work in columns] for r in sorted({r for work in columns for r in work})]
 
     def least() -> tuple[int, int, int]:
         return min((abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v)
@@ -216,7 +193,23 @@ def smith_invariant_factors(columns: list[dict[int, int]]) -> list[int]:
         del a[i]
         for row in a:
             del row[j]
-    return [1] * len(pivots) + diagonal
+    return diagonal
+
+
+def smith_invariant_factors(columns: list[dict[int, int]]) -> list[int]:
+    """Nonzero diagonal of the integer normal form, in divisibility order.
+
+    The matrix is given by its sparse columns (row index -> entry).  Every
+    column is filed, left to right, in one IncrementalRank: each unit pivot
+    gives a factor 1, and the dense Smith loop runs on the set-aside columns
+    cleared on all pivot rows (tiny or empty for boundary maps).
+    """
+    engine = IncrementalRank()
+    for col in columns:
+        work = engine._reduce(col)
+        if work:
+            engine._file(work)
+    return [1] * len(engine._pivots) + _smith_diagonal(engine._cleared(engine._rest))
 
 
 def _boundary_factors(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
@@ -247,14 +240,15 @@ class HomologyProfile:
 
 
 def homology(X: SimplicialComplex) -> HomologyProfile:
-    """Reduced homology in every dimension from integer normal forms."""
+    """Reduced Betti numbers over Q and the torsion of each H_i, the factors
+    above 1 of the (i+1)-th boundary map, from integer normal forms."""
     if X.dim < 0:
         return HomologyProfile((), ())
+    betti = _betti_numbers(X, "Q")
     factors = _boundary_factors(X) + ((),)
     dims = range(X.dim + 1)
-    betti = (X.n_faces(i) - len(factors[i]) - len(factors[i + 1]) for i in dims)
     torsion = (tuple(t for t in factors[i + 1] if t > 1) for i in dims)
-    return HomologyProfile(tuple(betti), tuple(torsion))
+    return HomologyProfile(tuple(betti[i] for i in dims), tuple(torsion))
 
 
 def _unit_count(factors: Sequence[int], ring: int | str) -> int:

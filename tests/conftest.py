@@ -1,7 +1,8 @@
-"""Shared generators and reference complexes for the test suite."""
+"""Shared generators, reference complexes and oracles for the test suite."""
 from __future__ import annotations
 
 import tempfile
+from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -18,6 +19,29 @@ def pytest_configure(config):
     home = tempfile.TemporaryDirectory(prefix="hypothesis-")
     config.add_cleanup(home.cleanup)
     set_hypothesis_home_dir(home.name)
+
+
+def fraction_rank(dense: list[list[int]]) -> int:
+    """Textbook Gaussian elimination over Q, used as an independent oracle."""
+    rows = [[Fraction(v) for v in row] for row in dense]
+    rank = 0
+    col = 0
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    while rank < n_rows and col < n_cols:
+        pivot = next((r for r in range(rank, n_rows) if rows[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for r in range(n_rows):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / pv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 # Six-vertex triangulation of the real projective plane (antipodal quotient

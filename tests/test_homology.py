@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 from random import Random
@@ -29,30 +28,7 @@ from anticollapse.homology import (
 )
 from anticollapse.hypertrees import kruskal_generate
 
-from conftest import random_complex, rp2
-
-
-def fraction_rank(dense: list[list[int]]) -> int:
-    """Textbook Gaussian elimination over Q, used as an independent oracle."""
-    rows = [[Fraction(v) for v in row] for row in dense]
-    rank = 0
-    col = 0
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    while rank < n_rows and col < n_cols:
-        pivot = next((r for r in range(rank, n_rows) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(n_rows):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+from conftest import fraction_rank, random_complex, rp2
 
 
 def modp_rank(dense: list[list[int]], p: int) -> int:
@@ -386,13 +362,14 @@ def test_adds_top_cycle_preconditions():
 def test_incremental_rank_matches_batch():
     # every verdict of add is the rank increase over Q; columns with entries
     # +-1 only and columns with entries up to 3 are mixed, so both the
-    # in-place step at a +-1 pivot (_subtract) and the fraction-free step
-    # (one _normalize each, besides the one for every new pivot) run
+    # in-place step at a +-1 pivot (_subtract) and the check of a remainder
+    # against the set-aside columns (_smith_diagonal) run
     homology_module = importlib.import_module("anticollapse.homology")
     rng = Random(43)
-    independent = 0
     with mock.patch.object(homology_module, "_subtract", wraps=homology_module._subtract) as unit, \
-            mock.patch.object(homology_module, "_normalize", wraps=homology_module._normalize) as norm:
+            mock.patch.object(
+                homology_module, "_smith_diagonal", wraps=homology_module._smith_diagonal
+            ) as set_aside:
         for _ in range(80):
             n_rows = rng.randint(1, 7)
             state = IncrementalRank()
@@ -404,11 +381,17 @@ def test_incremental_rank_matches_batch():
                 for i, row in enumerate(rows):
                     row.append(col[i])
                 grew = state.add({k: v for k, v in col.items() if v})
-                independent += grew
                 assert grew == (fraction_rank(rows) > before)
             assert state.rank == fraction_rank(rows)
     assert unit.call_count > 0
-    assert norm.call_count > independent
+    assert set_aside.call_count > 0
+    # the second column reduces to a remainder led by 1 on a row with no
+    # pivot, yet it is a rational multiple of the first, set-aside column
+    for first, second in (({0: 2}, {0: 1}), ({0: 2, 1: 2}, {0: 1, 1: 1})):
+        state = IncrementalRank()
+        assert state.add(first) is True
+        assert state.add(second) is False
+        assert state.rank == 1
 
 
 def test_homology_profile_str():

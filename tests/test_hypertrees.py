@@ -5,6 +5,7 @@ from dataclasses import replace
 from itertools import combinations
 from math import comb
 from random import Random
+from unittest import mock
 
 import hashlib
 
@@ -40,7 +41,7 @@ from anticollapse.hypertrees import (
     torsion_order,
 )
 
-from conftest import rp2
+from conftest import fraction_rank, rp2
 
 
 def test_generator_validates_arguments():
@@ -87,8 +88,9 @@ def _tuple_column(face, row_index):
 
 def test_incremental_acceptance_agrees_with_full_recompute():
     # the generator re-run on tuples: the same seeded shuffle of the
-    # lexicographic candidate list, every decision checked against the
-    # one-shot rank test, and the same complex at the end
+    # lexicographic candidate list, every decision checked against a rank
+    # over Fractions of the kept columns and the candidate, and the same
+    # complex at the end
     for n, d in ((5, 2), (6, 2), (5, 3), (6, 1)):
         for seed in range(3):
             candidates = list(combinations(range(1, n + 1), d + 1))
@@ -97,19 +99,46 @@ def test_incremental_acceptance_agrees_with_full_recompute():
             row_index = {f: i for i, f in enumerate(skeleton)}
             state = IncrementalRank()
             accepted = []
+            kept: list[dict] = []
             target = comb(n - 1, d)
             for sigma in candidates:
                 if len(accepted) == target:
                     break
-                current = from_facets(accepted + skeleton, ground=range(1, n + 1))
-                expected_cycle = adds_top_cycle(current, sigma)
-                got_independent = state.add(_tuple_column(sigma, row_index))
-                assert got_independent == (not expected_cycle)
+                col = _tuple_column(sigma, row_index)
+                dense = [[c.get(r, 0) for c in kept + [col]] for r in range(len(skeleton))]
+                # the kept columns are independent, each checked here
+                expected_independent = fraction_rank(dense) == len(kept) + 1
+                got_independent = state.add(col)
+                assert got_independent == expected_independent
                 if got_independent:
                     accepted.append(sigma)
+                    kept.append(col)
             assert len(accepted) == target
             expected = from_facets(accepted + skeleton, ground=range(1, n + 1))
             assert kruskal_generate(n, d, seed) == expected
+
+
+def test_kruskal_without_set_aside_columns_has_no_torsion():
+    # a run whose elimination ends with unit pivots only has a top boundary
+    # map with invariant factors all 1: its cokernel is free, so the finite
+    # H_2 inside it is trivial.  Seed 497 ends with a set-aside column and
+    # has torsion 2
+    engines = []
+
+    class Recorded(IncrementalRank):
+        def __init__(self) -> None:
+            super().__init__()
+            engines.append(self)
+
+    set_aside = set()
+    with mock.patch.object(hypertrees, "IncrementalRank", Recorded):
+        for seed in range(500):
+            X = kruskal_generate(8, 3, seed)
+            if engines[-1]._rest:
+                set_aside.add(seed)
+            else:
+                assert spanning_torsion_order(X, 3) == 1
+    assert 497 in set_aside and len(set_aside) < 500
 
 
 def test_spanning_torsion_matches_normal_form():
