@@ -54,7 +54,6 @@ from .errors import InputError, SizeError, StepError
 from .homology import (
     BoundaryMatrix,
     HomologyProfile,
-    adds_top_cycle,
     boundary_matrix,
     homology,
     is_acyclic,
@@ -87,7 +86,6 @@ __all__ = [
     "SizeError",
     "StepError",
     "StepPair",
-    "adds_top_cycle",
     "alexander_dual",
     "apply_step",
     "boundary_matrix",

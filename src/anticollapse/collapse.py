@@ -439,12 +439,14 @@ _BACKTRACK_NODE_BUDGET = 50_000
 
 
 def _collapse_masks(
-    wb: _Workbench, rng_seed: int, restarts: int, backtrack: bool
+    wb: _Workbench, rng_seed: int, restarts: int
 ) -> Optional[tuple[_Workbench, list[tuple[int, int]]]]:
-    """The search behind search_collapse, without building a certificate:
-    the end workbench and mask steps of a full collapse, or None.  wb must
-    hold a vertex and is left as it was, apart from its index, which gets
-    built.  Backtracking runs only up to _BACKTRACK_FACE_LIMIT faces.
+    """The one collapse search, without building a certificate: the end
+    workbench and mask steps of a full collapse, or None.  wb must hold a
+    vertex and is left as it was, apart from its index, which gets built.
+    Seeded greedy restarts come first; when they all fail, exhaustive
+    backtracking runs if at most _BACKTRACK_FACE_LIMIT faces lie above the
+    vertices, so the complex's size alone decides whether it runs.
 
     The search gives up, with no further restart and no backtracking, as
     soon as a greedy run stops with a face of the starting top size left.
@@ -464,7 +466,7 @@ def _collapse_masks(
             return run, steps
         if any(m.bit_count() == top for m in run.faces):
             return None  # a nonempty top core
-    if backtrack and 0 < sum(1 for m in wb.faces if m & (m - 1)) <= _BACKTRACK_FACE_LIMIT:
+    if 0 < sum(1 for m in wb.faces if m & (m - 1)) <= _BACKTRACK_FACE_LIMIT:
         run = wb.copy()
         steps = _backtrack_collapse(run, _BACKTRACK_NODE_BUDGET)
         if steps is not None:
@@ -475,16 +477,16 @@ def _collapse_masks(
 
 
 def search_collapse(
-    X: SimplicialComplex, rng_seed: int = 0, restarts: int = 64, backtrack: bool = True
+    X: SimplicialComplex, rng_seed: int = 0, restarts: int = 64
 ) -> Optional[Certificate]:
     """Look for a full collapse of X to a single vertex.
 
     Randomized greedy (free pairs with top-dimensional coface, uniform
-    choice) with seeded restarts; optionally falls back to exhaustive
-    backtracking on small complexes.  Absence of a certificate is not a
-    proof of non-collapsibility.
+    choice) with seeded restarts, then exhaustive backtracking when at most
+    _BACKTRACK_FACE_LIMIT faces lie above the vertices (_collapse_masks).
+    Absence of a certificate is not a proof of non-collapsibility.
     """
-    found = _collapse_masks(_Workbench(X), rng_seed, restarts, backtrack)
+    found = _collapse_masks(_Workbench(X), rng_seed, restarts)
     if found is None:
         return None
     end, steps = found

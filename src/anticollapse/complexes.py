@@ -329,21 +329,6 @@ def relabeled(X: SimplicialComplex, mapping: dict[int, int]) -> SimplicialComple
     return SimplicialComplex._from_masks(ground, {_mask(moved, f) for f in X.faces})
 
 
-def connected_components(X: SimplicialComplex) -> int:
-    """Number of connected components of the support, via the 1-skeleton."""
-    parent: dict[int, int] = {v: v for v in X.support}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for (u, v) in X.faces_of_dim(1):
-        parent[find(u)] = find(v)
-    return len({find(v) for v in parent})
-
-
 # -- canonical digests and the facet file format ----------------------
 
 

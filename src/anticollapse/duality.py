@@ -15,7 +15,6 @@ whether the dual collapses and builds no certificate.
 """
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Collection, Iterable, Optional
 
 from .collapse import (
@@ -44,20 +43,6 @@ def alexander_dual(X: SimplicialComplex) -> SimplicialComplex:
     # m is a face of the dual iff its complement full ^ m is not a face of X
     faces = set(range(full + 1)).difference(full ^ m for m in X._masks)
     return SimplicialComplex._from_masks(X.ground_set, faces)
-
-
-def dual_by_enumeration(X: SimplicialComplex) -> SimplicialComplex:
-    """Subset-enumeration oracle for the dual; guarded to small ground sets."""
-    ground = sorted(X.ground_set)
-    if len(ground) > 16:
-        raise InputError("enumeration oracle is limited to 16 ground vertices")
-    faces = set()
-    for size in range(len(ground) + 1):
-        for sub in combinations(ground, size):
-            comp = tuple(sorted(set(ground) - set(sub)))
-            if comp not in X.faces:
-                faces.add(sub)
-    return SimplicialComplex(X.ground_set, faces)
 
 
 def dual_step(step: StepPair, ground: frozenset[int]) -> StepPair:
@@ -110,11 +95,7 @@ def _transport(
 
 
 def _dual_collapse(
-    X: SimplicialComplex,
-    dual_wb: _Workbench,
-    rng_seed: int,
-    restarts: int,
-    backtrack: bool,
+    X: SimplicialComplex, dual_wb: _Workbench, rng_seed: int, restarts: int
 ) -> Optional[tuple[_Workbench, list[tuple[int, int]]]]:
     """Whether the dual of X, given as its workbench, collapses: the
     search's end workbench and mask steps on the dual, None when no collapse
@@ -124,24 +105,22 @@ def _dual_collapse(
         return dual_wb, []
     if not dual_wb.faces:
         return None  # dual carries no vertex, nothing can collapse
-    return _collapse_masks(dual_wb, rng_seed, restarts, backtrack)
+    return _collapse_masks(dual_wb, rng_seed, restarts)
 
 
 def is_anticollapsible(
-    X: SimplicialComplex,
-    rng_seed: int = 0,
-    restarts: int = 64,
-    backtrack: bool = True,
+    X: SimplicialComplex, rng_seed: int = 0, restarts: int = 64
 ) -> Optional[Certificate]:
     """Search for an expansion of X to the full simplex on its ground set.
 
-    Runs the collapse search on the dual and transports the result back.
-    Success gives a replayable expansion certificate; failure within budget
-    proves nothing.
+    Runs the collapse search of search_collapse on the dual (greedy
+    restarts, then backtracking if the dual is small) and transports the
+    result back.  Success gives a replayable expansion certificate; failure
+    within budget proves nothing.
     """
     if not len(X):
         raise InputError("expansion search needs a nonvoid complex")
-    found = _dual_collapse(X, _Workbench(alexander_dual(X)), rng_seed, restarts, backtrack)
+    found = _dual_collapse(X, _Workbench(alexander_dual(X)), rng_seed, restarts)
     if found is None:
         return None
     end, steps = found

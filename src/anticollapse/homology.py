@@ -15,7 +15,6 @@ Arithmetic is on Python integers, so there is no overflow to detect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .complexes import Face, SimplicialComplex
@@ -320,22 +319,3 @@ def is_acyclic(X: SimplicialComplex, ring: int | str = "Z") -> bool:
     if X.dim < 0:
         return False
     return not any(_betti_numbers(X, ring).values())
-
-
-def adds_top_cycle(X: SimplicialComplex, sigma: Face) -> bool:
-    """Would adding this top face create a rational cycle in top homology?
-
-    True iff the boundary column of sigma is dependent on the boundary
-    columns of the faces of the same dimension already present.
-    """
-    d = len(sigma) - 1
-    if sigma in X:
-        raise InputError(f"{sigma} is already a face")
-    for sub in combinations(sigma, d):
-        if sub not in X:
-            raise InputError(f"boundary face {sub} of {sigma} is missing")
-    row_index = {m: k for k, m in enumerate(sorted(X._by_size.get(d, ())))}
-    columns = [_mask_column(m, row_index) for m in sorted(X._by_size.get(d + 1, ()))]
-    rank = len(smith_invariant_factors(columns))
-    columns.append(_mask_column(X.mask_of(sigma), row_index))
-    return len(smith_invariant_factors(columns)) == rank

@@ -175,8 +175,9 @@ def is_hypertree(
     surviving top-dimensional core (on the complex or on its dual), or
     unknown within the search budget.  No certificate is built; the found
     cases are exactly those where search_collapse and is_anticollapsible,
-    with the same seeds and backtracking off, return one.  The searches run
-    first, and the top core is eroded only for a search that failed.
+    with the same seeds, return one: the same search runs, backtracking on
+    small complexes included.  The searches run first, and the top core is
+    eroded only for a search that failed.
     """
     if d < 1:
         raise InputError(f"hypertrees have dimension at least 1, got {d}")
@@ -200,7 +201,7 @@ def is_hypertree(
     # Search first and erode only when the search fails: a full collapse
     # removes every top face, so its top core is empty.
     wb = _Workbench(X)
-    if _collapse_masks(wb, rng_seed, restarts, backtrack=False) is not None:
+    if _collapse_masks(wb, rng_seed, restarts) is not None:
         d_collapsible, collapsible = True, FOUND
     else:
         d_collapsible = _core_erosion(wb.copy(), d)  # wb keeps its free faces
@@ -209,7 +210,7 @@ def is_hypertree(
     dual = alexander_dual(X)
     dual_wb = _Workbench(dual)
     dual_seed = _derive_seed(rng_seed, 1)
-    if _dual_collapse(X, dual_wb, dual_seed, restarts, backtrack=False) is not None:
+    if _dual_collapse(X, dual_wb, dual_seed, restarts) is not None:
         anticollapsible = FOUND
     elif dual.dim >= 1 and not _core_erosion(dual_wb, dual.dim):
         anticollapsible = REFUTED

@@ -9,7 +9,8 @@ from random import Random
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from anticollapse.complexes import SimplicialComplex, from_facets
+from anticollapse.complexes import Face, SimplicialComplex, from_facets
+from anticollapse.errors import InputError
 
 
 def pytest_configure(config):
@@ -77,6 +78,21 @@ def random_complex(rng: Random, max_vertices: int = 6) -> SimplicialComplex:
     return from_facets(facets, ground=ground)
 
 
+def pure_complexes() -> list[SimplicialComplex]:
+    """Seeded pure d-complexes, d = 1..3, with 3 to three quarters of the
+    d-faces on 6 or 7 vertices: their top cores range from empty through
+    partial erosions to the whole top."""
+    rng = Random(23)
+    cases = []
+    for _ in range(30):
+        n = rng.choice((6, 7))
+        d = rng.randint(1, 3)
+        tops = list(combinations(range(1, n + 1), d + 1))
+        facets = rng.sample(tops, rng.randint(3, 3 * len(tops) // 4))
+        cases.append(from_facets(facets, ground=range(1, n + 1)))
+    return cases
+
+
 def all_complexes_on(ground: tuple[int, ...]):
     """Every downward-closed family over a small ground set, void included."""
     yield SimplicialComplex.empty(ground)
@@ -100,6 +116,59 @@ def all_complexes_on(ground: tuple[int, ...]):
         if faces:
             faces.add(())
         yield SimplicialComplex(ground, faces)
+
+
+def connected_components(X: SimplicialComplex) -> int:
+    """Number of connected components of the support, via the 1-skeleton."""
+    parent: dict[int, int] = {v: v for v in X.support}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for (u, v) in X.faces_of_dim(1):
+        parent[find(u)] = find(v)
+    return len({find(v) for v in parent})
+
+
+def adds_top_cycle(X: SimplicialComplex, sigma: Face) -> bool:
+    """Would adding the face sigma close a rational cycle?  True iff its
+    boundary column depends on those of the faces of its size in X, ranked
+    by fraction_rank over dense columns, apart from the elimination engine."""
+    d = len(sigma) - 1
+    if sigma in X:
+        raise InputError(f"{sigma} is already a face")
+    for sub in combinations(sigma, d):
+        if sub not in X:
+            raise InputError(f"boundary face {sub} of {sigma} is missing")
+    rows = {f: r for r, f in enumerate(sorted(X.faces_of_dim(d - 1)))}
+
+    def column(f: Face) -> list[int]:
+        dense = [0] * len(rows)
+        for i in range(len(f)):
+            dense[rows[f[:i] + f[i + 1:]]] = (-1) ** i
+        return dense
+
+    columns = [column(f) for f in sorted(X.faces_of_dim(d))]
+    rank = fraction_rank([list(row) for row in zip(*columns)])
+    columns.append(column(sigma))
+    return fraction_rank([list(row) for row in zip(*columns)]) == rank
+
+
+def dual_by_enumeration(X: SimplicialComplex) -> SimplicialComplex:
+    """Subset-enumeration oracle for the dual; guarded to small ground sets."""
+    ground = sorted(X.ground_set)
+    if len(ground) > 16:
+        raise InputError("enumeration oracle is limited to 16 ground vertices")
+    faces = set()
+    for size in range(len(ground) + 1):
+        for sub in combinations(ground, size):
+            comp = tuple(sorted(set(ground) - set(sub)))
+            if comp not in X.faces:
+                faces.add(sub)
+    return SimplicialComplex(X.ground_set, faces)
 
 
 @pytest.fixture

@@ -23,10 +23,9 @@ from anticollapse.complexes import (
     read_facet_file,
 )
 from anticollapse.constructions import C38_3_FACETS, Y28_2_FACETS, Y38_3_FACETS
-from anticollapse.duality import dual_by_enumeration
 from anticollapse.errors import StepError
 
-from conftest import RP2_FACETS
+from conftest import RP2_FACETS, dual_by_enumeration
 
 
 @pytest.fixture

@@ -36,8 +36,9 @@ from anticollapse.constructions import _witness, catalog, load_base_case
 from anticollapse.duality import alexander_dual
 from anticollapse.errors import InputError, StepError
 from anticollapse.homology import homology
+from anticollapse.hypertrees import is_hypertree
 
-from conftest import random_complex, rp2
+from conftest import pure_complexes, random_complex, rp2
 
 
 def test_free_faces_of_full_triangle():
@@ -225,21 +226,6 @@ def peel_top_core(X: SimplicialComplex) -> set[tuple[int, ...]]:
         core -= peeled
 
 
-def pure_complexes() -> list[SimplicialComplex]:
-    """Seeded pure d-complexes, d = 1..3, with 3 to three quarters of the
-    d-faces on 6 or 7 vertices: their top cores range from empty through
-    partial erosions to the whole top."""
-    rng = Random(23)
-    cases = []
-    for _ in range(30):
-        n = rng.choice((6, 7))
-        d = rng.randint(1, 3)
-        tops = list(combinations(range(1, n + 1), d + 1))
-        facets = rng.sample(tops, rng.randint(3, 3 * len(tops) // 4))
-        cases.append(from_facets(facets, ground=range(1, n + 1)))
-    return cases
-
-
 def test_core_erosion_matches_peeling():
     rng = Random(19)
     cases = []
@@ -327,7 +313,7 @@ def test_search_stops_at_a_stuck_top_core():
     assert any(sum(1 for f in X.faces if len(f) > 1) <= 25 for X in stuck)  # backtrackable
     for seed, X in enumerate(stuck):
         with counted_search() as calls:
-            assert search_collapse(X, rng_seed=seed, restarts=64, backtrack=True) is None
+            assert search_collapse(X, rng_seed=seed, restarts=64) is None
         assert calls == {"_greedy_collapse": 1}
 
 
@@ -336,8 +322,20 @@ def test_search_restarts_when_the_top_erodes():
     # restart runs, and then backtracking
     X = from_facets([(1, 2, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
     with counted_search() as calls:
-        assert search_collapse(X, rng_seed=1, restarts=8, backtrack=True) is None
+        assert search_collapse(X, rng_seed=1, restarts=8) is None
     assert calls == {"_greedy_collapse": 8, "_backtrack_collapse": 1}
+
+
+def test_classification_runs_the_search_of_search_collapse():
+    # is_hypertree decides FOUND with the same search, so it backtracks on
+    # a small complex exactly where search_collapse does; the dual has more
+    # than 25 faces above the vertices and is never backtracked
+    X = from_facets([(1, 2, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+    with counted_search() as searched:
+        search_collapse(X, rng_seed=1, restarts=8)
+    with counted_search() as classified:
+        is_hypertree(X, 2, rng_seed=1, restarts=8)
+    assert classified["_backtrack_collapse"] == searched["_backtrack_collapse"] == 1
 
 
 def test_collapsible_complexes_are_integrally_acyclic(rng):

@@ -11,7 +11,6 @@ import pytest
 from anticollapse.complexes import (
     MAX_GROUND,
     SimplicialComplex,
-    connected_components,
     digest,
     format_facet_file,
     from_facets,
@@ -22,10 +21,10 @@ from anticollapse.complexes import (
     relabeled,
     skeleton,
 )
-from anticollapse.duality import alexander_dual, dual_by_enumeration
+from anticollapse.duality import alexander_dual
 from anticollapse.errors import InputError
 
-from conftest import all_complexes_on, random_complex
+from conftest import all_complexes_on, connected_components, dual_by_enumeration, random_complex
 
 Y28_FACETS = [
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 3, 8), (1, 6, 8),

@@ -21,14 +21,13 @@ from anticollapse.complexes import SimplicialComplex, digest, from_facets, relab
 from anticollapse.duality import (
     alexander_dual,
     check_alexander_duality,
-    dual_by_enumeration,
     dual_certificate,
     dual_step,
     is_anticollapsible,
 )
 from anticollapse.errors import InputError
 
-from conftest import all_complexes_on, random_complex
+from conftest import all_complexes_on, dual_by_enumeration, pure_complexes, random_complex
 
 
 def test_dual_of_full_simplex_is_void():
@@ -59,8 +58,8 @@ def test_dual_of_single_vertex():
 
 
 def test_dual_matches_enumeration_oracle(rng):
-    for _ in range(80):
-        X = random_complex(rng)
+    cases = [random_complex(rng) for _ in range(80)] + pure_complexes()
+    for X in cases:
         assert alexander_dual(X) == dual_by_enumeration(X)
 
 

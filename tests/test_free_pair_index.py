@@ -23,7 +23,7 @@ from anticollapse.constructions import _witness, theorem2_construct
 from anticollapse.duality import alexander_dual
 from anticollapse.hypertrees import is_hypertree, kruskal_generate
 
-from conftest import random_complex, rp2
+from conftest import pure_complexes, random_complex, rp2
 
 
 def rescan_index(wb: _Workbench) -> dict[int, int]:
@@ -91,8 +91,7 @@ def test_rescan_oracle_on_small_cases():
 
 def test_index_matches_rescan_when_built():
     rng = Random(31)
-    for _ in range(60):
-        X = random_complex(rng, 7)
+    for X in [random_complex(rng, 7) for _ in range(60)] + pure_complexes():
         wb = _Workbench(X)
         index = rescan_index(wb)
         assert wb.free_index() == by_size(wb, index)
@@ -108,7 +107,7 @@ def test_greedy_runs_on_random_complexes():
         for seed in range(40):
             X = random_complex(rng, 7)
             if X.faces_of_dim(0):
-                _collapse_masks(_Workbench(X), seed, restarts=3, backtrack=False)
+                _collapse_masks(_Workbench(X), seed, restarts=3)
     assert count[0] > 600
 
 
@@ -116,7 +115,7 @@ def test_greedy_runs_on_witness_duals():
     with checked_moves() as count:
         for d in range(2, 7):
             dual = alexander_dual(_witness(10, d)[0])
-            _collapse_masks(_Workbench(dual), d, restarts=1, backtrack=False)
+            _collapse_masks(_Workbench(dual), d, restarts=1)
     assert count[0] > 2000
 
 

@@ -12,14 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anticollapse.complexes import SimplicialComplex, connected_components, from_facets
+from anticollapse.complexes import SimplicialComplex, from_facets
 from anticollapse.errors import InputError
 from anticollapse.homology import (
     HomologyProfile,
     IncrementalRank,
     _boundary_columns,
     _unit_count,
-    adds_top_cycle,
     boundary_matrix,
     field_betti,
     homology,
@@ -28,7 +27,7 @@ from anticollapse.homology import (
 )
 from anticollapse.hypertrees import kruskal_generate
 
-from conftest import fraction_rank, random_complex, rp2
+from conftest import adds_top_cycle, connected_components, fraction_rank, random_complex, rp2
 
 
 def modp_rank(dense: list[list[int]], p: int) -> int:

@@ -14,7 +14,6 @@ import pytest
 from anticollapse.collapse import core_erosion, search_collapse
 from anticollapse.complexes import (
     SimplicialComplex,
-    connected_components,
     from_facets,
     relabeled,
 )
@@ -22,7 +21,6 @@ from anticollapse.duality import alexander_dual, is_anticollapsible
 from anticollapse.errors import InputError, SizeError
 from anticollapse.homology import (
     IncrementalRank,
-    adds_top_cycle,
     homology,
     is_acyclic,
 )
@@ -41,7 +39,7 @@ from anticollapse.hypertrees import (
     torsion_order,
 )
 
-from conftest import fraction_rank, rp2
+from conftest import adds_top_cycle, connected_components, fraction_rank, rp2
 
 
 def test_generator_validates_arguments():
@@ -90,9 +88,12 @@ def test_incremental_acceptance_agrees_with_full_recompute():
     # the generator re-run on tuples: the same seeded shuffle of the
     # lexicographic candidate list, every decision checked against a rank
     # over Fractions of the kept columns and the candidate, and the same
-    # complex at the end
-    for n, d in ((5, 2), (6, 2), (5, 3), (6, 1)):
-        for seed in range(3):
+    # complex at the end.  At (8, 3) seeds 497 and 237 set a column aside;
+    # at 237 two later candidates reduce to remainders led by +-1 that
+    # depend on it, which add must reject
+    sizes = ((5, 2, range(3)), (6, 2, range(3)), (5, 3, range(3)), (6, 1, range(3)))
+    for n, d, seeds in sizes + ((8, 3, (497, 237)),):
+        for seed in seeds:
             candidates = list(combinations(range(1, n + 1), d + 1))
             Random(seed).shuffle(candidates)
             skeleton = list(combinations(range(1, n + 1), d))
@@ -116,6 +117,8 @@ def test_incremental_acceptance_agrees_with_full_recompute():
             assert len(accepted) == target
             expected = from_facets(accepted + skeleton, ground=range(1, n + 1))
             assert kruskal_generate(n, d, seed) == expected
+            if n == 8:
+                assert state._rest
 
 
 def test_kruskal_without_set_aside_columns_has_no_torsion():
@@ -322,12 +325,17 @@ def test_q_cyclic_complex_on_the_spanning_fast_path():
 # sha256 of survey CSVs for fixed seeds: how classification answers must
 # never change what a seeded survey writes
 SURVEY_CSV_SHA256 = {
-    (8, 3, 200, 20250808): "07e005036b949c5181c19cd6c64e3673047739f1d52dd5e67095465630eeddad",
     (7, 2, 200, 11): "aa4c1cdcaf2d944630c1cbd8f3d102a720df585b56e908aef9962dec53d14b67",
+    (8, 3, 200, 20250808): "07e005036b949c5181c19cd6c64e3673047739f1d52dd5e67095465630eeddad",
+    # small enough for the search to backtrack: at most 25 faces above the
+    # vertices
+    (5, 3, 200, 99): "037a02a6d5e6b79e3d88aab3ea9d243d0fe5410dadccd920d11535bc15e17087",
+    (6, 2, 200, 99): "0c3ad2a2c6baa8e6d0992a98b01ca7cf7ff214b2a44e2e031daba118d272a8d6",
 }
 
 
-@pytest.mark.parametrize("args", sorted(SURVEY_CSV_SHA256))
+# in insertion order, so that new pins never renumber the earlier ids
+@pytest.mark.parametrize("args", list(SURVEY_CSV_SHA256))
 def test_survey_csv_is_pinned(args, tmp_path):
     csv_path = tmp_path / "survey.csv"
     run_survey(*args, csv_path=str(csv_path))
@@ -335,8 +343,8 @@ def test_survey_csv_is_pinned(args, tmp_path):
 
 
 def test_classification_agrees_with_certificate_search():
-    # FOUND must mean exactly that the public searches, with the same seeds
-    # and no backtracking, return a certificate; the handpicked complexes
+    # FOUND must mean exactly that the public searches, with the same seeds,
+    # return a certificate; the handpicked complexes
     # add cases where the search fails (a 1-cycle next to a triangle) or a
     # core refutes (the projective plane), and the duals of both, where the
     # same happens to the expansion
@@ -358,11 +366,9 @@ def test_classification_agrees_with_certificate_search():
         dual_stuck = dual.dim >= 1 and not core_erosion(dual)[1]
         assert (report.anticollapsible == REFUTED) == dual_stuck
         if report.collapsible != REFUTED:
-            cert = search_collapse(X, rng_seed=seed, restarts=8, backtrack=False)
+            cert = search_collapse(X, rng_seed=seed, restarts=8)
             assert (report.collapsible == FOUND) == (cert is not None)
         if report.anticollapsible != REFUTED:
-            anti = is_anticollapsible(
-                X, rng_seed=_derive_seed(seed, 1), restarts=8, backtrack=False
-            )
+            anti = is_anticollapsible(X, rng_seed=_derive_seed(seed, 1), restarts=8)
             assert (report.anticollapsible == FOUND) == (anti is not None)
     assert outcomes == anti_outcomes == {FOUND, REFUTED, UNKNOWN}
