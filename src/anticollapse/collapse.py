@@ -139,8 +139,8 @@ class MorseVector:
 # Engines below run on the face bitmasks of the complex they start from.
 # Only nonempty faces are cells; the empty face never enters the workbench.
 #
-# Every engine (greedy search, backtracking, the random collapse procedure,
-# free_faces and core erosion) reads one index: the free faces by size.  In
+# Every engine (greedy search, the random collapse procedure, free_faces
+# and core erosion) reads one index: the free faces by size.  In
 # a closed family a face is free exactly when it has degree 1 (a face
 # covering its one coface would give it a second), and the one coface is a
 # facet of size one more, found on demand for the faces a move takes.
@@ -235,10 +235,6 @@ class _Workbench:
             if ts:
                 return sorted(ts)
         return []
-
-    def free_pairs_at_max_dim(self) -> list[tuple[int, int]]:
-        """Free pairs whose coface size is maximal; empty if none anywhere."""
-        return [(t, self.unique_coface(t)) for t in self.top_free_faces()]
 
     # moves
 
@@ -375,23 +371,17 @@ def core_erosion(X: SimplicialComplex) -> tuple[SimplicialComplex, bool]:
     is a core (every (d-1)-face of it lies in at least two d-faces), which
     certifies that no collapse order can do better.
     """
-    wb = _Workbench(X)
-    eroded = _core_erosion(wb, X.dim)
-    return wb.to_complex(), eroded
-
-
-def _core_erosion(wb: _Workbench, d: int) -> bool:
-    """core_erosion on the workbench of a d-complex, eroded in place: the
-    free (d-1)-faces of the index, in any order, until none is left."""
+    d = X.dim
     if d < 1:
         raise InputError("erosion needs a complex of dimension at least 1")
+    wb = _Workbench(X)
     ridges = wb.free_index()[d]  # mask size d: the (d-1)-faces
     while ridges:
         # the top core is the same for every order; the collapse files the
         # ridges of the coface it leaves free in this same set
         t = ridges.pop()
         wb.collapse(t, wb.unique_coface(t))
-    return all(m.bit_count() <= d for m in wb.faces)
+    return wb.to_complex(), all(m.bit_count() <= d for m in wb.faces)
 
 
 def _greedy_collapse(wb: _Workbench, rng: Random) -> list[tuple[int, int]]:
@@ -409,51 +399,43 @@ def _greedy_collapse(wb: _Workbench, rng: Random) -> list[tuple[int, int]]:
     return steps
 
 
-def _backtrack_collapse(wb: _Workbench, node_budget: int) -> Optional[list[tuple[int, int]]]:
-    """Exhaustive search over collapse orders with memoized dead states;
-    every collapse tried is expanded again, so wb ends where it started."""
-    dead: set[frozenset[int]] = set()
-    budget = [node_budget]
-
-    def recurse() -> Optional[list[tuple[int, int]]]:
-        if wb.is_single_vertex():
-            return []
-        state = frozenset(wb.faces)
-        if state in dead or budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        for t, c in wb.free_pairs_at_max_dim():
-            wb.collapse(t, c)
-            tail = recurse()
-            wb.expand(t, c)
-            if tail is not None:
-                return [(t, c)] + tail
-        dead.add(state)
-        return None
-
-    return recurse()
-
-
-_BACKTRACK_FACE_LIMIT = 25  # faces above the vertices, or no backtracking
-_BACKTRACK_NODE_BUDGET = 50_000
+# verdicts of the collapse search
+FOUND = "found"
+REFUTED = "refuted-by-core"
+UNKNOWN = "unknown"
 
 
 def _collapse_masks(
     wb: _Workbench, rng_seed: int, restarts: int
-) -> Optional[tuple[_Workbench, list[tuple[int, int]]]]:
-    """The one collapse search, without building a certificate: the end
-    workbench and mask steps of a full collapse, or None.  wb must hold a
-    vertex and is left as it was, apart from its index, which gets built.
-    Seeded greedy restarts come first; when they all fail, exhaustive
-    backtracking runs if at most _BACKTRACK_FACE_LIMIT faces lie above the
-    vertices, so the complex's size alone decides whether it runs.
+) -> tuple[str, _Workbench, list[tuple[int, int]]]:
+    """The one collapse search, without building a certificate: seeded
+    greedy restarts.  Returns the verdict with the end workbench and mask
+    steps of the last run: FOUND when a run collapses to a vertex, REFUTED
+    when a run stops with a face of the starting top size left and that
+    size is at least 2, UNKNOWN otherwise.  wb must hold a vertex and is
+    left as it was, apart from its index, which gets built.
 
-    The search gives up, with no further restart and no backtracking, as
-    soon as a greedy run stops with a face of the starting top size left.
-    Greedy takes free ridges first, so every run does the whole top
-    erosion, whose fixed point, the top core, does not depend on the order;
-    a face of the core keeps every ridge at degree 2 or more, so no
-    collapse order ever removes it.
+    A run that stops with a face of the starting top size left ends the
+    search at once.  Greedy takes free ridges first, so every run does the
+    whole top erosion, whose fixed point, the top core, does not depend on
+    the order; a face of the core keeps every ridge at degree 2 or more, so
+    no collapse order ever removes it.
+
+    On a complex with at most 25 faces above the vertices, UNKNOWN also
+    means not collapsible, so no exhaustive search could do better:
+    - X has dimension at most 3, since a 4-simplex alone has 26 faces above
+      its vertices.  A run stops only when no free face is left, and
+      collapses keep the homotopy type.
+    - If a run stops with the top core gone and X were collapsible, the
+      rest S would be contractible, of dimension at most 2, not a point and
+      without a free face.  Each component of the triangle part of S would
+      then be Z-acyclic with every edge in at least 2 triangles, so
+      v - e + t = 1 and 25 >= e + t >= 5(v - 1), hence v <= 6.
+    - v = 6 puts every edge in exactly 2 triangles; the sum of all the
+      triangles is then a 2-cycle over GF(2), which a Z-acyclic complex
+      cannot have.
+    - v <= 5 is ruled out by the brute force of
+      test_stuck_family_search_agrees_with_brute_force at (5, 2).
     """
     if not wb.faces:
         raise InputError("collapse search needs at least one vertex")
@@ -463,17 +445,10 @@ def _collapse_masks(
         run = wb.copy()
         steps = _greedy_collapse(run, rng)
         if run.is_single_vertex():
-            return run, steps
+            return FOUND, run, steps
         if any(m.bit_count() == top for m in run.faces):
-            return None  # a nonempty top core
-    if 0 < sum(1 for m in wb.faces if m & (m - 1)) <= _BACKTRACK_FACE_LIMIT:
-        run = wb.copy()
-        steps = _backtrack_collapse(run, _BACKTRACK_NODE_BUDGET)
-        if steps is not None:
-            for t, c in steps:
-                run.collapse(t, c)
-            return run, steps
-    return None
+            return (REFUTED if top > 1 else UNKNOWN), run, steps  # a nonempty top core
+    return UNKNOWN, run, steps
 
 
 def search_collapse(
@@ -482,14 +457,14 @@ def search_collapse(
     """Look for a full collapse of X to a single vertex.
 
     Randomized greedy (free pairs with top-dimensional coface, uniform
-    choice) with seeded restarts, then exhaustive backtracking when at most
-    _BACKTRACK_FACE_LIMIT faces lie above the vertices (_collapse_masks).
-    Absence of a certificate is not a proof of non-collapsibility.
+    choice) with seeded restarts (_collapse_masks).  Absence of a
+    certificate is not a proof of non-collapsibility, except on complexes
+    with at most 25 faces above the vertices, where a greedy run that
+    stops already proves it.
     """
-    found = _collapse_masks(_Workbench(X), rng_seed, restarts)
-    if found is None:
+    verdict, end, steps = _collapse_masks(_Workbench(X), rng_seed, restarts)
+    if verdict != FOUND:
         return None
-    end, steps = found
     face = X.face_of
     pairs = tuple(StepPair(face(t), face(c), COLLAPSE) for t, c in steps)
     return Certificate(COLLAPSE, pairs, digest(X), digest(end.to_complex()))

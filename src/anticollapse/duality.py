@@ -20,6 +20,8 @@ from typing import Collection, Iterable, Optional
 from .collapse import (
     ANTICOLLAPSE,
     COLLAPSE,
+    FOUND,
+    UNKNOWN,
     Certificate,
     StepPair,
     _Workbench,
@@ -96,15 +98,16 @@ def _transport(
 
 def _dual_collapse(
     X: SimplicialComplex, dual_wb: _Workbench, rng_seed: int, restarts: int
-) -> Optional[tuple[_Workbench, list[tuple[int, int]]]]:
-    """Whether the dual of X, given as its workbench, collapses: the
-    search's end workbench and mask steps on the dual, None when no collapse
-    was found, and the void workbench with no step for the full simplex.
+) -> tuple[str, _Workbench, list[tuple[int, int]]]:
+    """Whether the dual of X, given as its workbench, collapses: the verdict
+    of the search on the dual with its end workbench and mask steps, FOUND
+    with the void workbench and no step for the full simplex, and UNKNOWN
+    when the dual carries no vertex.
     """
     if X.is_simplex():
-        return dual_wb, []
+        return FOUND, dual_wb, []
     if not dual_wb.faces:
-        return None  # dual carries no vertex, nothing can collapse
+        return UNKNOWN, dual_wb, []  # dual carries no vertex, nothing can collapse
     return _collapse_masks(dual_wb, rng_seed, restarts)
 
 
@@ -113,17 +116,16 @@ def is_anticollapsible(
 ) -> Optional[Certificate]:
     """Search for an expansion of X to the full simplex on its ground set.
 
-    Runs the collapse search of search_collapse on the dual (greedy
-    restarts, then backtracking if the dual is small) and transports the
-    result back.  Success gives a replayable expansion certificate; failure
-    within budget proves nothing.
+    Runs the collapse search of search_collapse (seeded greedy restarts) on
+    the dual and transports the result back.  Success gives a replayable
+    expansion certificate; failure within budget proves nothing, except on
+    a dual with at most 25 faces above its vertices (see _collapse_masks).
     """
     if not len(X):
         raise InputError("expansion search needs a nonvoid complex")
-    found = _dual_collapse(X, _Workbench(alexander_dual(X)), rng_seed, restarts)
-    if found is None:
+    verdict, end, steps = _dual_collapse(X, _Workbench(alexander_dual(X)), rng_seed, restarts)
+    if verdict != FOUND:
         return None
-    end, steps = found
     return _transport(X, steps, end.to_complex()._masks)
 
 

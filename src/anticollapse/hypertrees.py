@@ -23,7 +23,7 @@ from math import comb, prod
 from random import Random
 from typing import Iterable, Iterator, Optional
 
-from .collapse import _Workbench, _collapse_masks, _core_erosion
+from .collapse import FOUND, REFUTED, UNKNOWN, _Workbench, _collapse_masks
 from .complexes import SimplicialComplex, check_face_count
 from .duality import _dual_collapse, alexander_dual
 from .errors import InputError, SizeError
@@ -34,10 +34,6 @@ from .homology import (
     homology,
     smith_invariant_factors,
 )
-
-FOUND = "found"
-REFUTED = "refuted-by-core"
-UNKNOWN = "unknown"
 
 
 def _derive_seed(master: int, counter: int) -> int:
@@ -139,10 +135,14 @@ class HypertreeReport:
     facet_count: int
     q_acyclic: bool
     torsion_order: int
-    d_collapsible: bool
     collapsible: str
     anticollapsible: str
     free_face_count: int
+
+    @property
+    def d_collapsible(self) -> bool:
+        """The top erodes completely: no top core refutes a collapse."""
+        return self.collapsible != REFUTED
 
     @property
     def no_free_faces(self) -> bool:
@@ -170,14 +170,12 @@ def is_hypertree(
 ) -> HypertreeReport:
     """Verify rational acyclicity and classify collapse behaviour.
 
-    The collapsible / anticollapsible flags are three-valued: a collapse
-    (of the complex or of its dual) was found, the property was refuted by a
-    surviving top-dimensional core (on the complex or on its dual), or
-    unknown within the search budget.  No certificate is built; the found
-    cases are exactly those where search_collapse and is_anticollapsible,
-    with the same seeds, return one: the same search runs, backtracking on
-    small complexes included.  The searches run first, and the top core is
-    eroded only for a search that failed.
+    The collapsible / anticollapsible flags are three-valued, the verdicts
+    of the collapse searches on the complex and on its dual: a collapse was
+    found, the property was refuted by a top core left when a greedy run
+    stopped, or unknown within the search budget.  No certificate is built;
+    the found cases are exactly those where search_collapse and
+    is_anticollapsible, with the same seeds, return one.
     """
     if d < 1:
         raise InputError(f"hypertrees have dimension at least 1, got {d}")
@@ -198,31 +196,16 @@ def is_hypertree(
         q_acyclic = not any(profile.betti)
         torsion = _finite_order(profile, d - 1) if q_acyclic else 0
 
-    # Search first and erode only when the search fails: a full collapse
-    # removes every top face, so its top core is empty.
     wb = _Workbench(X)
-    if _collapse_masks(wb, rng_seed, restarts) is not None:
-        d_collapsible, collapsible = True, FOUND
-    else:
-        d_collapsible = _core_erosion(wb.copy(), d)  # wb keeps its free faces
-        collapsible = UNKNOWN if d_collapsible else REFUTED
-
-    dual = alexander_dual(X)
-    dual_wb = _Workbench(dual)
-    dual_seed = _derive_seed(rng_seed, 1)
-    if _dual_collapse(X, dual_wb, dual_seed, restarts) is not None:
-        anticollapsible = FOUND
-    elif dual.dim >= 1 and not _core_erosion(dual_wb, dual.dim):
-        anticollapsible = REFUTED
-    else:
-        anticollapsible = UNKNOWN
+    collapsible = _collapse_masks(wb, rng_seed, restarts)[0]
+    dual_wb = _Workbench(alexander_dual(X))
+    anticollapsible = _dual_collapse(X, dual_wb, _derive_seed(rng_seed, 1), restarts)[0]
 
     return HypertreeReport(
         complex=X,
         facet_count=facet_count,
         q_acyclic=q_acyclic,
         torsion_order=torsion,
-        d_collapsible=d_collapsible,
         collapsible=collapsible,
         anticollapsible=anticollapsible,
         free_face_count=sum(map(len, wb.free_index())),
@@ -287,13 +270,8 @@ def run_survey(
     trials: int,
     rng_seed: int,
     csv_path: Optional[str] = None,
-    stop_after_class_a: Optional[int] = None,
 ) -> SurveySummary:
-    """Drive a survey, optionally writing one CSV row per trial.
-
-    stop_after_class_a stops early once that many collapsible-but-refuted-
-    expansion examples have been seen (the seeds are recorded either way).
-    """
+    """Drive a survey, optionally writing one CSV row per trial."""
     summary = SurveySummary(0, [], [], [], [])
     sink = nullcontext() if csv_path is None else open(csv_path, "w", newline="", encoding="utf-8")
     with sink as handle:  # closed even when a trial raises
@@ -315,6 +293,4 @@ def run_survey(
                 writer.writerow([seed, report.facet_count, report.q_acyclic,
                                  report.torsion_order, report.d_collapsible, report.collapsible,
                                  report.anticollapsible, report.free_face_count])
-            if stop_after_class_a is not None and len(summary.class_a_seeds) >= stop_after_class_a:
-                break
     return summary

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from random import Random
 
@@ -155,6 +156,41 @@ def adds_top_cycle(X: SimplicialComplex, sigma: Face) -> bool:
     rank = fraction_rank([list(row) for row in zip(*columns)])
     columns.append(column(sigma))
     return fraction_rank([list(row) for row in zip(*columns)]) == rank
+
+
+def collapses_by_definition(X: SimplicialComplex) -> bool:
+    """Does some order of elementary collapses take X to a single vertex?
+    Taken literally from the definition, "a nonempty face is free provided
+    that it is a proper subset of exactly one other face", a collapse
+    removing that face and the one above it: an exhaustive search over the
+    families of vertex tuples reached, memoized, for small complexes only."""
+    faces = [f for f in X.faces if f]
+    above = {f: [g for g in faces if set(f) < set(g)] for f in faces}
+
+    @lru_cache(maxsize=None)
+    def collapses(family: frozenset[Face]) -> bool:
+        if len(family) == 1:
+            return True  # a closed family of one nonempty face is a vertex
+        for f in family:
+            cover = [g for g in above[f] if g in family]
+            if len(cover) == 1 and collapses(family - {f, cover[0]}):
+                return True
+        return False
+
+    return collapses(frozenset(faces))
+
+
+def small_search_complexes() -> list[SimplicialComplex]:
+    """Complexes with a vertex and at most 25 faces above the vertices:
+    every one on 4 vertices, the fitting pure complexes, seeded random
+    draws, the bowtie of two triangles, and a triangle beside a 1-cycle,
+    whose top erodes although the complex does not collapse."""
+    cases = [X for X in all_complexes_on((1, 2, 3, 4)) if X.support]
+    rng = Random(3)
+    cases += pure_complexes() + [random_complex(rng, 6) for _ in range(400)]
+    cases.append(from_facets([(1, 2, 3), (3, 4, 5)]))
+    cases.append(from_facets([(1, 2, 3), (3, 4), (4, 5), (5, 6), (4, 6)]))
+    return [X for X in cases if X.support and sum(len(f) > 1 for f in X.faces) <= 25]
 
 
 def dual_by_enumeration(X: SimplicialComplex) -> SimplicialComplex:

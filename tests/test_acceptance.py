@@ -6,6 +6,7 @@ as they are produced.  The statistical reproduction is marked slow.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from random import Random
 
 import pytest
@@ -32,7 +33,7 @@ from anticollapse.constructions import (
 )
 from anticollapse.duality import alexander_dual
 from anticollapse.homology import field_betti, homology
-from anticollapse.hypertrees import kalai_check, run_survey
+from anticollapse.hypertrees import kalai_check, run_survey, survey
 
 from conftest import all_complexes_on, random_complex, rp2
 
@@ -233,12 +234,12 @@ def test_criterion_8_statistical_reproduction():
     class_a = list(summary.class_a_seeds)
     extra = 0
     while not class_a and extra < 90_000:
-        batch = run_survey(
-            8, 3, trials=10_000, rng_seed=0xACE5 + 1 + extra, stop_after_class_a=1
-        )
-        assert batch.invalid_seeds == []
-        class_a = list(batch.class_a_seeds)
-        extra += batch.trials
+        for seed, report in survey(8, 3, 10_000, rng_seed=0xACE5 + 1 + extra):
+            assert report.q_acyclic and report.facet_count == comb(7, 3)
+            extra += 1
+            if report.is_class_a():
+                class_a.append(seed)
+                break
     assert class_a, "no collapsible-but-refuted-expansion example in 100000 trials"
     _verdict(8, True, f"10000 valid spanning complexes; first "
                       f"collapsible-not-expandable seed {class_a[0]} after "

@@ -1,6 +1,7 @@
 """Elementary moves, certificates, erosion, search, and matchings."""
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 from contextlib import contextmanager
@@ -33,12 +34,18 @@ from anticollapse.complexes import (
     link_and_del,
 )
 from anticollapse.constructions import _witness, catalog, load_base_case
-from anticollapse.duality import alexander_dual
+from anticollapse.duality import alexander_dual, is_anticollapsible
 from anticollapse.errors import InputError, StepError
 from anticollapse.homology import homology
-from anticollapse.hypertrees import is_hypertree
+from anticollapse.hypertrees import _derive_seed, is_hypertree
 
-from conftest import pure_complexes, random_complex, rp2
+from conftest import (
+    collapses_by_definition,
+    pure_complexes,
+    random_complex,
+    rp2,
+    small_search_complexes,
+)
 
 
 def test_free_faces_of_full_triangle():
@@ -289,53 +296,49 @@ def test_search_collapse_deterministic_given_seed():
 
 @contextmanager
 def counted_search():
-    """Count the greedy runs and backtracking searches of the collapse
-    search; yields a Counter keyed by function name."""
-    calls = Counter()
+    """Count the greedy runs of the collapse search; yields a one-element
+    list."""
+    runs = [0]
+    real = collapse._greedy_collapse
 
-    def counted(real):
-        def run(*args):
-            calls[real.__name__] += 1
-            return real(*args)
+    def counted(*args):
+        runs[0] += 1
+        return real(*args)
 
-        return run
-
-    with mock.patch.object(collapse, "_greedy_collapse", counted(collapse._greedy_collapse)), \
-            mock.patch.object(collapse, "_backtrack_collapse", counted(collapse._backtrack_collapse)):
-        yield calls
+    with mock.patch.object(collapse, "_greedy_collapse", counted):
+        yield runs
 
 
 def test_search_stops_at_a_stuck_top_core():
-    # one greedy run reaches the top core, which no collapse removes, so
-    # neither a restart nor backtracking follows it
+    # one greedy run reaches the top core, which no collapse removes, so no
+    # restart follows it
     stuck = [X for X in pure_complexes() if peel_top_core(X)]
     stuck += [rp2(), load_base_case(2).complex]
-    assert any(sum(1 for f in X.faces if len(f) > 1) <= 25 for X in stuck)  # backtrackable
     for seed, X in enumerate(stuck):
-        with counted_search() as calls:
+        with counted_search() as runs:
             assert search_collapse(X, rng_seed=seed, restarts=64) is None
-        assert calls == {"_greedy_collapse": 1}
+        assert runs == [1]
 
 
 def test_search_restarts_when_the_top_erodes():
     # the triangle erodes and the 1-cycle is left below the top: every
-    # restart runs, and then backtracking
+    # restart runs
     X = from_facets([(1, 2, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
-    with counted_search() as calls:
+    with counted_search() as runs:
         assert search_collapse(X, rng_seed=1, restarts=8) is None
-    assert calls == {"_greedy_collapse": 8, "_backtrack_collapse": 1}
+    assert runs == [8]
 
 
 def test_classification_runs_the_search_of_search_collapse():
-    # is_hypertree decides FOUND with the same search, so it backtracks on
-    # a small complex exactly where search_collapse does; the dual has more
-    # than 25 faces above the vertices and is never backtracked
+    # is_hypertree decides both flags with the searches of search_collapse
+    # on X and of is_anticollapsible on its dual, run by run
     X = from_facets([(1, 2, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
     with counted_search() as searched:
         search_collapse(X, rng_seed=1, restarts=8)
+        is_anticollapsible(X, rng_seed=_derive_seed(1, 1), restarts=8)
     with counted_search() as classified:
         is_hypertree(X, 2, rng_seed=1, restarts=8)
-    assert classified["_backtrack_collapse"] == searched["_backtrack_collapse"] == 1
+    assert classified == searched
 
 
 def test_collapsible_complexes_are_integrally_acyclic(rng):
@@ -351,12 +354,36 @@ def test_collapsible_complexes_are_integrally_acyclic(rng):
         found += 1
 
 
-def test_search_collapse_backtracking_rescues_small_cases():
-    # the two-triangle bowtie needs nothing fancy, but exercising the
-    # exhaustive branch with a tiny restart budget keeps it honest
-    X = from_facets([[1, 2, 3], [3, 4, 5]])
-    cert = search_collapse(X, rng_seed=0, restarts=1)
-    assert cert is not None
+def test_one_greedy_run_decides_small_complexes():
+    # with at most 25 faces above the vertices, a greedy run that stops
+    # proves the complex is not collapsible (_collapse_masks), so one
+    # restart agrees with the exhaustive search by the definition
+    cases = small_search_complexes()
+    verdicts = []
+    for seed, X in enumerate(cases):
+        verdict = collapses_by_definition(X)
+        assert (search_collapse(X, rng_seed=seed, restarts=1) is not None) == verdict
+        verdicts.append(verdict)
+    assert len(set(verdicts)) == 2
+
+
+# sha256 over small_search_complexes(), seed i and 4 restarts for the i-th:
+# its search_collapse and is_anticollapsible certificates (or None) and its
+# is_hypertree flags, so the searches decide these complexes as pinned
+SMALL_SEARCH_SHA256 = "c7623634f4f0127a686e1c3c5269237a149846e66993cce7bf1590d7a6de8558"
+
+
+def test_small_searches_pinned():
+    lines = []
+    for seed, X in enumerate(small_search_complexes()):
+        certs = (search_collapse(X, rng_seed=seed, restarts=4),
+                 is_anticollapsible(X, rng_seed=seed, restarts=4))
+        row = [cert and cert.to_json() for cert in certs]
+        if X.dim >= 1:
+            r = is_hypertree(X, X.dim, rng_seed=seed, restarts=4)
+            row.append((r.collapsible, r.anticollapsible, r.d_collapsible, r.free_face_count))
+        lines.append(repr(row))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SMALL_SEARCH_SHA256
 
 
 def test_rdm_single_vertex():

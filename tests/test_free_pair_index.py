@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anticollapse.collapse import (
-    _backtrack_collapse,
     _collapse_masks,
-    _core_erosion,
+    _greedy_collapse,
     _Workbench,
+    core_erosion,
     free_faces,
     random_discrete_morse,
 )
@@ -71,7 +71,7 @@ def checked_moves():
             if self.free is not None:
                 index = rescan_index(self)
                 assert self.free == by_size(self, index)
-                assert self.free_pairs_at_max_dim() == top_pairs(index)
+                assert self.top_free_faces() == [t for t, _ in top_pairs(index)]
                 count[0] += 1
 
         return run
@@ -95,7 +95,7 @@ def test_index_matches_rescan_when_built():
         wb = _Workbench(X)
         index = rescan_index(wb)
         assert wb.free_index() == by_size(wb, index)
-        assert wb.free_pairs_at_max_dim() == top_pairs(index)
+        assert wb.top_free_faces() == [t for t, _ in top_pairs(index)]
         face = X.face_of
         assert [(s.free, s.coface) for s in free_faces(X)] == [
             (face(t), face(c)) for t, c in sorted(index.items())]
@@ -119,18 +119,21 @@ def test_greedy_runs_on_witness_duals():
     assert count[0] > 2000
 
 
-def test_backtracking_collapses_and_expands():
+def test_greedy_collapses_expand_back():
+    # greedy collapses, then the same pairs expanded in reverse order: the
+    # faces and the index kept by _insert come back
     rng = Random(12)
     tried = 0
     with checked_moves() as count:
         while tried < 25:
             X = random_complex(rng, 5)
-            if not X.faces_of_dim(0) or len(X.faces) > 26:
+            if not X.faces_of_dim(0):
                 continue
             tried += 1
             wb = _Workbench(X)
             before = (set(wb.faces), [set(ts) for ts in wb.free_index()])
-            _backtrack_collapse(wb, 2_000)
+            for t, c in reversed(_greedy_collapse(wb, Random(tried))):
+                wb.expand(t, c)
             assert (wb.faces, wb.free) == before
     assert count[0] > 200
 
@@ -144,9 +147,8 @@ def test_core_erosion_on_the_index():
     with checked_moves() as count:
         for X in cases:
             if X.dim >= 1:
-                wb = _Workbench(X)
-                _core_erosion(wb, X.dim)
-                assert not wb.free[X.dim]
+                residue = core_erosion(X)[0]
+                assert not _Workbench(residue).free_index()[X.dim]
     assert count[0] > 600
 
 

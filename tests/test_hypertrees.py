@@ -327,8 +327,8 @@ def test_q_cyclic_complex_on_the_spanning_fast_path():
 SURVEY_CSV_SHA256 = {
     (7, 2, 200, 11): "aa4c1cdcaf2d944630c1cbd8f3d102a720df585b56e908aef9962dec53d14b67",
     (8, 3, 200, 20250808): "07e005036b949c5181c19cd6c64e3673047739f1d52dd5e67095465630eeddad",
-    # small enough for the search to backtrack: at most 25 faces above the
-    # vertices
+    # at most 25 faces above the vertices, where a greedy run that stops
+    # proves the complex is not collapsible
     (5, 3, 200, 99): "037a02a6d5e6b79e3d88aab3ea9d243d0fe5410dadccd920d11535bc15e17087",
     (6, 2, 200, 99): "0c3ad2a2c6baa8e6d0992a98b01ca7cf7ff214b2a44e2e031daba118d272a8d6",
 }
