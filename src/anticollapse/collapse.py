@@ -155,10 +155,11 @@ class MorseVector:
 class _Workbench:
     __slots__ = ("base", "faces", "deg", "all_bits", "free")
 
-    def __init__(self, X: SimplicialComplex):
+    def __init__(self, X: SimplicialComplex, masks: Optional[set[int]] = None):
         self.base = X  # fixes the ground set and names faces in messages
         self.all_bits = (1 << len(X.ground_set)) - 1
-        self.faces: set[int] = set(X._masks)
+        # the faces of X, or a given downward-closed set, taken over uncopied
+        self.faces: set[int] = set(X._masks) if masks is None else masks
         self.faces.discard(0)
         self.deg: dict[int, int] = dict.fromkeys(self.faces, 0)
         self.free: Optional[list[set[int]]] = None  # face size -> free faces

@@ -40,11 +40,15 @@ def alexander_dual(X: SimplicialComplex) -> SimplicialComplex:
     exact involution, the void and the empty complex included.  A ground
     set with more than MAX_FACES subsets raises SizeError.
     """
+    return SimplicialComplex._from_masks(X.ground_set, _dual_masks(X))
+
+
+def _dual_masks(X: SimplicialComplex) -> set[int]:
+    """The face masks of the dual of X, over the ground set of X."""
     full = (1 << len(X.ground_set)) - 1
     check_face_count(full + 1, "the dual")
     # m is a face of the dual iff its complement full ^ m is not a face of X
-    faces = set(range(full + 1)).difference(full ^ m for m in X._masks)
-    return SimplicialComplex._from_masks(X.ground_set, faces)
+    return set(range(full + 1)).difference(full ^ m for m in X._masks)
 
 
 def dual_step(step: StepPair, ground: frozenset[int]) -> StepPair:
@@ -97,13 +101,16 @@ def _transport(
 
 
 def _dual_collapse(
-    X: SimplicialComplex, dual_wb: _Workbench, rng_seed: int, restarts: int
+    X: SimplicialComplex, rng_seed: int, restarts: int
 ) -> tuple[str, _Workbench, list[tuple[int, int]]]:
-    """Whether the dual of X, given as its workbench, collapses: the verdict
-    of the search on the dual with its end workbench and mask steps, FOUND
-    with the void workbench and no step for the full simplex, and UNKNOWN
-    when the dual carries no vertex.
+    """Whether the dual of X collapses: the verdict of the search on the
+    dual with its end workbench and mask steps, FOUND with the void
+    workbench and no step for the full simplex, and UNKNOWN when the dual
+    carries no vertex.  The dual's workbench is built from its face masks
+    with X as its base, which has the same ground set: face names and
+    to_complex are those of the dual, and no dual complex is made.
     """
+    dual_wb = _Workbench(X, _dual_masks(X))
     if X.is_simplex():
         return FOUND, dual_wb, []
     if not dual_wb.faces:
@@ -123,7 +130,7 @@ def is_anticollapsible(
     """
     if not len(X):
         raise InputError("expansion search needs a nonvoid complex")
-    verdict, end, steps = _dual_collapse(X, _Workbench(alexander_dual(X)), rng_seed, restarts)
+    verdict, end, steps = _dual_collapse(X, rng_seed, restarts)
     if verdict != FOUND:
         return None
     return _transport(X, steps, end.to_complex()._masks)

@@ -144,6 +144,12 @@ class IncrementalRank:
         self._file(work)
         return True
 
+    def factors(self) -> list[int]:
+        """The nonzero invariant factors of the filed columns, in
+        divisibility order: 1 for each unit pivot, then the dense Smith
+        loop on the set-aside columns cleared on every pivot row."""
+        return [1] * len(self._pivots) + _smith_diagonal(self._cleared(self._rest))
+
 
 def _subtract(work: dict[int, int], pivot: dict[int, int], r: int) -> None:
     """Clear row r of work with a pivot whose entry there is +-1."""
@@ -208,7 +214,7 @@ def smith_invariant_factors(columns: list[dict[int, int]]) -> list[int]:
         work = engine._reduce(col)
         if work:
             engine._file(work)
-    return [1] * len(engine._pivots) + _smith_diagonal(engine._cleared(engine._rest))
+    return engine.factors()
 
 
 def _boundary_factors(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:

@@ -8,9 +8,12 @@ keeps exactly those that do not create a rational cycle, stopping at the
 spanning count C(n-1, d).  The processing order is not a uniform sampler
 over hypertrees.
 
+The generator's elimination already holds the invariant factors of the
+top boundary map of what it keeps, so a survey trial takes |H_(d-1)| from
+it; is_hypertree, given any complex, computes the torsion itself.
 Classification only asks whether a complex and its dual collapse, so it
-runs the collapse searches without building any certificate; callers that
-want one use search_collapse or is_anticollapsible.
+runs the collapse searches without building any certificate or dual
+complex; callers that want one use search_collapse or is_anticollapsible.
 """
 from __future__ import annotations
 
@@ -25,10 +28,9 @@ from typing import Iterable, Iterator, Optional
 
 from .collapse import FOUND, REFUTED, UNKNOWN, _Workbench, _collapse_masks
 from .complexes import SimplicialComplex, check_face_count
-from .duality import _dual_collapse, alexander_dual
+from .duality import _dual_collapse
 from .errors import InputError, SizeError
 from .homology import (
-    HomologyProfile,
     IncrementalRank,
     _mask_column,
     homology,
@@ -72,6 +74,20 @@ def kruskal_generate(n: int, d: int, rng_seed: int) -> SimplicialComplex:
     before building anything, when the complete d-skeleton has more than
     MAX_FACES faces.
     """
+    return _with_full_skeleton(n, d, _kruskal(n, d, rng_seed)[0])
+
+
+def _kruskal(n: int, d: int, rng_seed: int) -> tuple[list[int], int]:
+    """The top masks kruskal_generate keeps, and |H_(d-1)| of the complex
+    they span over the complete (d-1)-skeleton.
+
+    With B_k the boundary map on the k-faces, the torsion of
+    H_(d-1) = ker B_(d-1) / im B_d is that of coker B_d = C_(d-1) / im B_d,
+    because C_(d-1) / ker B_(d-1) is isomorphic to im B_(d-1), which is
+    free.  The kept columns of B_d have full rank, so that torsion is the
+    product of all their invariant factors, which the elimination that
+    chose them already holds.
+    """
     if d + 1 < 2 or n < d + 1:
         raise InputError(f"need n >= d+1 >= 2, got n={n}, d={d}")
     check_face_count(sum(comb(n, k + 1) for k in range(d + 1)),
@@ -90,7 +106,7 @@ def kruskal_generate(n: int, d: int, rng_seed: int) -> SimplicialComplex:
             accepted.append(sigma)
     if len(accepted) != target:
         raise RuntimeError("candidate pool exhausted before the spanning count")
-    return _with_full_skeleton(n, d, accepted)
+    return accepted, prod(state.factors())
 
 
 def spanning_torsion_order(X: SimplicialComplex, d: int) -> int:
@@ -102,6 +118,8 @@ def spanning_torsion_order(X: SimplicialComplex, d: int) -> int:
     the order of the torsion group (the d = 1 case is the classical reduced
     incidence matrix of a spanning tree).  The determinant is the product of
     the invariant factors, and 0 when there are fewer factors than columns.
+    Survey trials skip this second elimination: the generator hands on the
+    same product from its own (see _kruskal).
     """
     top = sorted(X._by_size.get(d + 1, ()))
     if len(top) != comb(len(X.ground_set) - 1, d):
@@ -111,20 +129,6 @@ def spanning_torsion_order(X: SimplicialComplex, d: int) -> int:
     columns = [_mask_column(m, row_index) for m in top]
     factors = smith_invariant_factors(columns)
     return prod(factors) if len(factors) == len(top) else 0
-
-
-def torsion_order(X: SimplicialComplex, d: int) -> int:
-    """|H_(d-1)(X)| from the integer normal form (must be finite)."""
-    return _finite_order(homology(X), d - 1)
-
-
-def _finite_order(profile: HomologyProfile, i: int) -> int:
-    """|H_i| from a homology profile, as in torsion_order."""
-    if i < 0 or i >= len(profile.betti):
-        return 1
-    if profile.betti[i] != 0:
-        raise InputError("torsion order is only defined when the group is finite")
-    return prod(profile.torsion[i])
 
 
 @dataclass
@@ -182,29 +186,30 @@ def is_hypertree(
     if X.dim != d:
         raise InputError(f"expected a complex of dimension {d}, got {X.dim}")
     n = len(X.ground_set)
-    facet_count = X.n_faces(d)
-
-    if _has_complete_lower_skeleton(X, d) and facet_count == comb(n - 1, d):
+    if _has_complete_lower_skeleton(X, d) and X.n_faces(d) == comb(n - 1, d):
         # complete lower skeleton: the boundary maps below d have the ranks
         # of the full simplex, C(n-1, k), so only the top rank can fail.  The
         # only cycle on the faces through the largest vertex is 0, so the
         # square matrix on the other rows has the kernel of the full one.
         torsion = spanning_torsion_order(X, d)
-        q_acyclic = torsion != 0
     else:
         profile = homology(X)
-        q_acyclic = not any(profile.betti)
-        torsion = _finite_order(profile, d - 1) if q_acyclic else 0
+        torsion = 0 if any(profile.betti) else prod(profile.torsion[d - 1])
+    return _classify(X, d, torsion, rng_seed, restarts)
 
+
+def _classify(
+    X: SimplicialComplex, d: int, torsion: int, rng_seed: int, restarts: int
+) -> HypertreeReport:
+    """The report of is_hypertree on a d-complex X, given |H_(d-1)(X)|, or
+    0 when X is not rationally acyclic."""
     wb = _Workbench(X)
     collapsible = _collapse_masks(wb, rng_seed, restarts)[0]
-    dual_wb = _Workbench(alexander_dual(X))
-    anticollapsible = _dual_collapse(X, dual_wb, _derive_seed(rng_seed, 1), restarts)[0]
-
+    anticollapsible = _dual_collapse(X, _derive_seed(rng_seed, 1), restarts)[0]
     return HypertreeReport(
         complex=X,
-        facet_count=facet_count,
-        q_acyclic=q_acyclic,
+        facet_count=X.n_faces(d),
+        q_acyclic=torsion != 0,
         torsion_order=torsion,
         collapsible=collapsible,
         anticollapsible=anticollapsible,
@@ -260,8 +265,9 @@ def survey(
         raise InputError("at least one trial")
     for t in range(trials):
         seed = _derive_seed(rng_seed, t)
-        X = kruskal_generate(n, d, seed)
-        yield seed, is_hypertree(X, d, rng_seed=seed)
+        tops, torsion = _kruskal(n, d, seed)
+        X = _with_full_skeleton(n, d, tops)
+        yield seed, _classify(X, d, torsion, seed, restarts=64)
 
 
 def run_survey(

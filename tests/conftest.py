@@ -5,6 +5,7 @@ import tempfile
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from anticollapse.complexes import Face, SimplicialComplex, from_facets
 from anticollapse.errors import InputError
+from anticollapse.homology import homology
 
 
 def pytest_configure(config):
@@ -191,6 +193,17 @@ def small_search_complexes() -> list[SimplicialComplex]:
     cases.append(from_facets([(1, 2, 3), (3, 4, 5)]))
     cases.append(from_facets([(1, 2, 3), (3, 4), (4, 5), (5, 6), (4, 6)]))
     return [X for X in cases if X.support and sum(len(f) > 1 for f in X.faces) <= 25]
+
+
+def torsion_order(X: SimplicialComplex, d: int) -> int:
+    """|H_(d-1)(X)| from the integer normal form (must be finite)."""
+    profile = homology(X)
+    i = d - 1
+    if i < 0 or i >= len(profile.betti):
+        return 1
+    if profile.betti[i] != 0:
+        raise InputError("torsion order is only defined when the group is finite")
+    return prod(profile.torsion[i])
 
 
 def dual_by_enumeration(X: SimplicialComplex) -> SimplicialComplex:

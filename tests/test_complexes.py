@@ -9,8 +9,10 @@ from random import Random
 import pytest
 
 from anticollapse.complexes import (
+    MAX_FACES,
     MAX_GROUND,
     SimplicialComplex,
+    check_face_count,
     digest,
     format_facet_file,
     from_facets,
@@ -22,7 +24,7 @@ from anticollapse.complexes import (
     skeleton,
 )
 from anticollapse.duality import alexander_dual
-from anticollapse.errors import InputError
+from anticollapse.errors import InputError, SizeError
 
 from conftest import all_complexes_on, connected_components, dual_by_enumeration, random_complex
 
@@ -357,3 +359,9 @@ def test_link_join_relabel_and_dual_match_tuple_definitions():
         moved = {tuple(sorted(move[u] for u in f)) for f in faces}
         assert relabeled(X, move) == SimplicialComplex(set(move.values()), moved)
         assert alexander_dual(X) == dual_by_enumeration(X)
+
+
+def test_face_count_guard_is_exact_at_its_bound():
+    check_face_count(MAX_FACES, "a complex")
+    with pytest.raises(SizeError, match=f"a complex would have more than {MAX_FACES} faces"):
+        check_face_count(MAX_FACES + 1, "a complex")

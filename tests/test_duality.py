@@ -17,7 +17,13 @@ from anticollapse.collapse import (
     replay,
     search_collapse,
 )
-from anticollapse.complexes import SimplicialComplex, digest, from_facets, relabeled
+from anticollapse.complexes import (
+    SimplicialComplex,
+    digest,
+    from_facets,
+    parse_facet_text,
+    relabeled,
+)
 from anticollapse.duality import (
     alexander_dual,
     check_alexander_duality,
@@ -25,7 +31,8 @@ from anticollapse.duality import (
     dual_step,
     is_anticollapsible,
 )
-from anticollapse.errors import InputError
+from anticollapse.errors import InputError, SizeError
+from anticollapse.hypertrees import is_hypertree
 
 from conftest import all_complexes_on, dual_by_enumeration, pure_complexes, random_complex
 
@@ -248,6 +255,18 @@ def test_check_alexander_duality_rejects_unknown_fields():
 def test_is_anticollapsible_rejects_void():
     with pytest.raises(InputError):
         is_anticollapsible(SimplicialComplex.void([1, 2]), rng_seed=0)
+
+
+def test_dual_searches_refuse_a_dual_past_the_size_bound():
+    # 2^19 subsets of the ground set: the dual's workbench is refused
+    # before its faces are built, by the expansion search and by the
+    # classification alike
+    X = parse_facet_text("ground 19\n1 2\n")
+    message = "the dual would have more than 262144 faces"
+    with pytest.raises(SizeError, match=message):
+        is_anticollapsible(X)
+    with pytest.raises(SizeError, match=message):
+        is_hypertree(X, 1)
 
 
 def test_dual_facets_correspond_under_double_cone():

@@ -30,16 +30,16 @@ from anticollapse.hypertrees import (
     REFUTED,
     UNKNOWN,
     _derive_seed,
+    _kruskal,
     is_hypertree,
     kalai_check,
     kruskal_generate,
     run_survey,
     spanning_torsion_order,
     survey,
-    torsion_order,
 )
 
-from conftest import adds_top_cycle, connected_components, fraction_rank, rp2
+from conftest import adds_top_cycle, connected_components, fraction_rank, rp2, torsion_order
 
 
 def test_generator_validates_arguments():
@@ -121,11 +121,12 @@ def test_incremental_acceptance_agrees_with_full_recompute():
                 assert state._rest
 
 
-def test_kruskal_without_set_aside_columns_has_no_torsion():
-    # a run whose elimination ends with unit pivots only has a top boundary
-    # map with invariant factors all 1: its cokernel is free, so the finite
-    # H_2 inside it is trivial.  Seed 497 ends with a set-aside column and
-    # has torsion 2
+def test_kruskal_torsion_is_the_spanning_torsion():
+    # the torsion the generator hands on, the product of the Smith diagonal
+    # of its cleared set-aside columns, is |H_(d-1)| of the complex it
+    # keeps.  Runs that end with unit pivots only have torsion 1; at (8, 3)
+    # seed 237 ends with set-aside columns and torsion 1, seed 497 with
+    # torsion 2
     engines = []
 
     class Recorded(IncrementalRank):
@@ -133,15 +134,20 @@ def test_kruskal_without_set_aside_columns_has_no_torsion():
             super().__init__()
             engines.append(self)
 
-    set_aside = set()
+    endings = {}
+    cases = [(8, 3, range(600))] + [(n, d, range(8)) for n, d in ((8, 2), (9, 3), (7, 3), (6, 1))]
     with mock.patch.object(hypertrees, "IncrementalRank", Recorded):
-        for seed in range(500):
-            X = kruskal_generate(8, 3, seed)
-            if engines[-1]._rest:
-                set_aside.add(seed)
-            else:
-                assert spanning_torsion_order(X, 3) == 1
-    assert 497 in set_aside and len(set_aside) < 500
+        for n, d, seeds in cases:
+            for seed in seeds:
+                torsion = _kruskal(n, d, seed)[1]
+                endings[n, d, seed] = (bool(engines[-1]._rest), torsion)
+                X = kruskal_generate(n, d, seed)
+                assert torsion == spanning_torsion_order(X, d)
+                if seed < 3 or torsion > 1:
+                    assert torsion == torsion_order(X, d)
+    assert endings[8, 3, 237] == (True, 1)
+    assert endings[8, 3, 497] == (True, 2)
+    assert all(t == 1 for rest, t in endings.values() if not rest)
 
 
 def test_spanning_torsion_matches_normal_form():
@@ -260,7 +266,7 @@ def test_survey_reports_valid_hypertrees(tmp_path):
 
 def test_survey_csv_is_closed_when_a_trial_raises(tmp_path, monkeypatch):
     opened, trials = [], []
-    classify = hypertrees.is_hypertree
+    classify = hypertrees._classify
 
     def recording_open(*args, **kwargs):
         opened.append(open(*args, **kwargs))
@@ -273,7 +279,7 @@ def test_survey_csv_is_closed_when_a_trial_raises(tmp_path, monkeypatch):
         return classify(*args, **kwargs)
 
     monkeypatch.setattr(hypertrees, "open", recording_open, raising=False)
-    monkeypatch.setattr(hypertrees, "is_hypertree", failing_second_trial)
+    monkeypatch.setattr(hypertrees, "_classify", failing_second_trial)
     csv_path = tmp_path / "survey.csv"
     with pytest.raises(RuntimeError, match="trial failed"):
         run_survey(6, 2, trials=5, rng_seed=42, csv_path=str(csv_path))
