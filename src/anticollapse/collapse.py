@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from random import Random
-from typing import Optional
+from typing import Collection, Optional
 
 from .complexes import (
     EMPTY_FACE,
@@ -150,26 +150,43 @@ class MorseVector:
 # codimension-one faces, so only they can enter the index (at degree 1) or
 # leave it (at 0 or 2).  The index is built on first use, so replay and
 # apply_step, which validate with deg alone, never pay for it.
+#
+# A collapse (t, c) with t of k vertices removes two facets in turn, c and
+# then t, so degrees fall only at sizes k and k - 1: the largest size with
+# a free face never goes up, and a greedy run counts it down.  A workbench
+# may start from a cached closed skeleton with new faces on top, as a
+# survey trial's X and its dual do (see hypertrees).
 
 
 class _Workbench:
     __slots__ = ("base", "faces", "deg", "all_bits", "free")
 
-    def __init__(self, X: SimplicialComplex, masks: Optional[set[int]] = None):
+    def __init__(
+        self,
+        X: SimplicialComplex,
+        masks: Optional[Collection[int]] = None,
+        skeleton: tuple[frozenset[int], dict[int, int]] = (frozenset(), {}),
+    ):
         self.base = X  # fixes the ground set and names faces in messages
         self.all_bits = (1 << len(X.ground_set)) - 1
-        # the faces of X, or a given downward-closed set, taken over uncopied
-        self.faces: set[int] = set(X._masks) if masks is None else masks
+        # the faces of X, or the given masks, on top of a copy of a closed
+        # skeleton's faces and their degrees in it (none by default).  No
+        # mask but 0 is in the skeleton and each has the faces below it
+        # there or among the masks, so only the masks raise degrees.
+        new = X._masks if masks is None else masks
+        self.faces: set[int] = set(new)
         self.faces.discard(0)
-        self.deg: dict[int, int] = dict.fromkeys(self.faces, 0)
+        self.deg = deg = dict.fromkeys(self.faces, 0)
+        deg.update(skeleton[1])
+        self.faces.update(skeleton[0])
         self.free: Optional[list[set[int]]] = None  # face size -> free faces
-        for m in self.faces:
+        for m in new:
             if m & (m - 1):
                 rest = m
                 while rest:
                     b = rest & -rest
                     rest ^= b
-                    self.deg[m ^ b] += 1
+                    deg[m ^ b] += 1
 
     def copy(self) -> "_Workbench":
         """An independent workbench in the same state; both get the index."""
@@ -229,13 +246,6 @@ class _Workbench:
                 if self.deg[m] == 1:
                     self.free[m.bit_count()].add(m)
         return self.free
-
-    def top_free_faces(self) -> list[int]:
-        """The free faces of the largest size that has any, sorted."""
-        for ts in reversed(self.free_index()):
-            if ts:
-                return sorted(ts)
-        return []
 
     # moves
 
@@ -387,17 +397,37 @@ def core_erosion(X: SimplicialComplex) -> tuple[SimplicialComplex, bool]:
 
 def _greedy_collapse(wb: _Workbench, rng: Random) -> list[tuple[int, int]]:
     """Randomized greedy collapses, a uniform free pair of top coface each,
-    until a single vertex or no free pair is left; the steps taken."""
+    until a single vertex or no free pair is left; the steps taken.
+
+    The top free size only goes down, so one counter tracks it: collapsing
+    (t, c) with t of k vertices lowers degrees only on the faces of c, of
+    size k, and on those of t, of size k - 1, so no larger face turns free.
+    A lone vertex returns before the index is built."""
     steps: list[tuple[int, int]] = []
-    while not wb.is_single_vertex():
-        faces = wb.top_free_faces()
-        if not faces:
-            break
-        t = faces[rng.randrange(len(faces))]
-        c = wb.unique_coface(t)
-        wb.collapse(t, c)
+    faces = wb.faces
+    if len(faces) == 1 and next(iter(faces)).bit_count() == 1:
+        return steps
+    free = wb.free_index()
+    remove = wb._remove
+    randrange = rng.randrange
+    all_bits = wb.all_bits
+    size = len(free) - 1
+    while True:
+        while size and not free[size]:
+            size -= 1
+        if not size:
+            return steps
+        top = sorted(free[size])
+        t = top[randrange(len(top))]
+        rest = all_bits ^ t  # t is free: one vertex outside it adds a face
+        b = rest & -rest
+        while t | b not in faces:
+            rest ^= b
+            b = rest & -rest
+        c = t | b
+        remove(c)
+        remove(t)
         steps.append((t, c))
-    return steps
 
 
 # verdicts of the collapse search

@@ -46,9 +46,15 @@ def alexander_dual(X: SimplicialComplex) -> SimplicialComplex:
 def _dual_masks(X: SimplicialComplex) -> set[int]:
     """The face masks of the dual of X, over the ground set of X."""
     full = (1 << len(X.ground_set)) - 1
-    check_face_count(full + 1, "the dual")
+    _check_dual_size(len(X.ground_set))
     # m is a face of the dual iff its complement full ^ m is not a face of X
     return set(range(full + 1)).difference(full ^ m for m in X._masks)
+
+
+def _check_dual_size(n: int) -> None:
+    """SizeError unless a dual over n ground vertices, with up to 2^n faces,
+    may be built."""
+    check_face_count(1 << n, "the dual")
 
 
 def dual_step(step: StepPair, ground: frozenset[int]) -> StepPair:
@@ -101,16 +107,15 @@ def _transport(
 
 
 def _dual_collapse(
-    X: SimplicialComplex, rng_seed: int, restarts: int
+    X: SimplicialComplex, dual_wb: _Workbench, rng_seed: int, restarts: int
 ) -> tuple[str, _Workbench, list[tuple[int, int]]]:
-    """Whether the dual of X collapses: the verdict of the search on the
-    dual with its end workbench and mask steps, FOUND with the void
-    workbench and no step for the full simplex, and UNKNOWN when the dual
-    carries no vertex.  The dual's workbench is built from its face masks
-    with X as its base, which has the same ground set: face names and
-    to_complex are those of the dual, and no dual complex is made.
+    """Whether the dual of X collapses, searched on dual_wb, a workbench of
+    the dual's faces with X as its base, which has the same ground set: face
+    names and to_complex are those of the dual, and no dual complex is made.
+    Returns the verdict of the search with its end workbench and mask
+    steps, FOUND with the void workbench and no step for the full simplex,
+    and UNKNOWN when the dual carries no vertex.
     """
-    dual_wb = _Workbench(X, _dual_masks(X))
     if X.is_simplex():
         return FOUND, dual_wb, []
     if not dual_wb.faces:
@@ -130,7 +135,7 @@ def is_anticollapsible(
     """
     if not len(X):
         raise InputError("expansion search needs a nonvoid complex")
-    verdict, end, steps = _dual_collapse(X, rng_seed, restarts)
+    verdict, end, steps = _dual_collapse(X, _Workbench(X, _dual_masks(X)), rng_seed, restarts)
     if verdict != FOUND:
         return None
     return _transport(X, steps, end.to_complex()._masks)

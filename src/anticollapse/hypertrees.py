@@ -14,6 +14,13 @@ it; is_hypertree, given any complex, computes the torsion itself.
 Classification only asks whether a complex and its dual collapse, so it
 runs the collapse searches without building any certificate or dual
 complex; callers that want one use search_collapse or is_anticollapsible.
+
+A survey trial rebuilds nothing that depends on (n, d) alone: the
+candidates' boundary columns and the complete skeletons under X and under
+its dual are made once and copied.  A set is a face of the dual exactly
+when its complement is not a face of X, so the dual of the complete
+(d-1)-skeleton with the top set T is the complete (n-d-3)-skeleton with
+the complements of the d-faces outside T.
 """
 from __future__ import annotations
 
@@ -28,7 +35,7 @@ from typing import Iterable, Iterator, Optional
 
 from .collapse import FOUND, REFUTED, UNKNOWN, _Workbench, _collapse_masks
 from .complexes import SimplicialComplex, check_face_count
-from .duality import _dual_collapse
+from .duality import _check_dual_size, _dual_collapse, _dual_masks
 from .errors import InputError, SizeError
 from .homology import (
     IncrementalRank,
@@ -57,11 +64,23 @@ def _skeleton(n: int, k: int) -> tuple[tuple[int, ...], dict[int, int]]:
     return masks, {m: i for i, m in enumerate(masks)}
 
 
+@lru_cache(maxsize=8)
+def _skeleton_cells(n: int, k: int) -> tuple[frozenset[int], dict[int, int]]:
+    """The nonempty faces of the complete k-skeleton on {1..n} and their
+    coface degrees in it, a workbench's skeleton: a face of s vertices lies
+    in the n - s faces of s + 1 vertices above it when s <= k, and in none
+    at the top size k + 1.  Made once per (n, k) and shared: callers must
+    not change them."""
+    deg: dict[int, int] = {}
+    for j in range(k + 1):
+        deg.update(dict.fromkeys(complete_skeleton(n, j), n - j - 1 if j < k else 0))
+    return frozenset(deg), deg
+
+
 def _with_full_skeleton(n: int, d: int, tops: Iterable[int]) -> SimplicialComplex:
     """The complete (d-1)-skeleton on {1..n} together with the top masks."""
     faces = {0, *tops}
-    for k in range(d):
-        faces.update(_skeleton(n, k)[0])
+    faces.update(_skeleton_cells(n, d - 1)[0])
     return SimplicialComplex._from_masks(range(1, n + 1), faces)
 
 
@@ -93,20 +112,28 @@ def _kruskal(n: int, d: int, rng_seed: int) -> tuple[list[int], int]:
     check_face_count(sum(comb(n, k + 1) for k in range(d + 1)),
                      f"the complete {d}-skeleton on {n} vertices")
     rng = Random(rng_seed)
-    candidates = list(_skeleton(n, d)[0])
-    rng.shuffle(candidates)
-    row_index = _skeleton(n, d - 1)[1]
+    candidates = list(_kruskal_columns(n, d))
+    rng.shuffle(candidates)  # the permutation depends on the length alone
     state = IncrementalRank()
     target = comb(n - 1, d)
     accepted: list[int] = []
-    for sigma in candidates:
+    for sigma, column in candidates:
         if len(accepted) == target:
             break
-        if state.add(_mask_column(sigma, row_index)):
+        if state.add(column):
             accepted.append(sigma)
     if len(accepted) != target:
         raise RuntimeError("candidate pool exhausted before the spanning count")
     return accepted, prod(state.factors())
+
+
+@lru_cache(maxsize=8)
+def _kruskal_columns(n: int, d: int) -> tuple[tuple[int, dict[int, int]], ...]:
+    """The d-faces on {1..n} in complete_skeleton order, each with its
+    boundary column over the (d-1)-faces.  Made once per (n, d) and shared:
+    IncrementalRank copies the columns it files, and nobody may change them."""
+    row_index = _skeleton(n, d - 1)[1]
+    return tuple((m, _mask_column(m, row_index)) for m in _skeleton(n, d)[0])
 
 
 def spanning_torsion_order(X: SimplicialComplex, d: int) -> int:
@@ -195,17 +222,23 @@ def is_hypertree(
     else:
         profile = homology(X)
         torsion = 0 if any(profile.betti) else prod(profile.torsion[d - 1])
-    return _classify(X, d, torsion, rng_seed, restarts)
+    wb, dual_wb = _Workbench(X), _Workbench(X, _dual_masks(X))
+    return _classify(X, d, torsion, rng_seed, restarts, wb, dual_wb)
 
 
 def _classify(
-    X: SimplicialComplex, d: int, torsion: int, rng_seed: int, restarts: int
+    X: SimplicialComplex,
+    d: int,
+    torsion: int,
+    rng_seed: int,
+    restarts: int,
+    wb: _Workbench,
+    dual_wb: _Workbench,
 ) -> HypertreeReport:
     """The report of is_hypertree on a d-complex X, given |H_(d-1)(X)|, or
-    0 when X is not rationally acyclic."""
-    wb = _Workbench(X)
+    0 when X is not rationally acyclic, and workbenches of X and its dual."""
     collapsible = _collapse_masks(wb, rng_seed, restarts)[0]
-    anticollapsible = _dual_collapse(X, _derive_seed(rng_seed, 1), restarts)[0]
+    anticollapsible = _dual_collapse(X, dual_wb, _derive_seed(rng_seed, 1), restarts)[0]
     return HypertreeReport(
         complex=X,
         facet_count=X.n_faces(d),
@@ -230,8 +263,7 @@ def kalai_check(n: int, d: int) -> tuple[int, int, bool]:
             f"exhaustive enumeration guard: C({n},{d + 1}) = {total_candidates} > 25"
         )
     target = comb(n - 1, d)
-    row_index = _skeleton(n, d - 1)[1]
-    columns = [_mask_column(m, row_index) for m in _skeleton(n, d)[0]]
+    columns = [column for _, column in _kruskal_columns(n, d)]
     weighted_sum = 0
     for subset in combinations(columns, target):
         factors = smith_invariant_factors(list(subset))
@@ -267,7 +299,28 @@ def survey(
         seed = _derive_seed(rng_seed, t)
         tops, torsion = _kruskal(n, d, seed)
         X = _with_full_skeleton(n, d, tops)
-        yield seed, _classify(X, d, torsion, seed, restarts=64)
+        yield seed, _classify(X, d, torsion, seed, 64, *_spanning_workbenches(X, d, tops))
+
+
+def _spanning_workbenches(
+    X: SimplicialComplex, d: int, tops: list[int]
+) -> tuple[_Workbench, _Workbench]:
+    """Workbenches of X, the complete (d-1)-skeleton on {1..n} with the top
+    masks, and of its dual, built on cached skeletons.
+
+    A set S is a face of the dual exactly when its complement is not a face
+    of X.  The complement of S has n - |S| vertices and is a face of X when
+    that is at most d, or d + 1 with the complement among the tops.  So the
+    dual is the complete (n-d-3)-skeleton, every S of at most n - d - 2
+    vertices, with the complements of the d-faces that are not tops.
+    """
+    n = len(X.ground_set)
+    wb = _Workbench(X, tops, _skeleton_cells(n, d - 1))
+    _check_dual_size(n)
+    full = (1 << n) - 1
+    kept = set(tops)
+    dual_tops = [full ^ m for m in _skeleton(n, d)[0] if m not in kept]
+    return wb, _Workbench(X, dual_tops, _skeleton_cells(n, n - d - 3))
 
 
 def run_survey(

@@ -195,6 +195,15 @@ def small_search_complexes() -> list[SimplicialComplex]:
     return [X for X in cases if X.support and sum(len(f) > 1 for f in X.faces) <= 25]
 
 
+def top_free_faces(wb) -> list[int]:
+    """The free faces of the largest size that has any in a collapse
+    workbench, sorted: the list a greedy step draws from."""
+    for ts in reversed(wb.free_index()):
+        if ts:
+            return sorted(ts)
+    return []
+
+
 def torsion_order(X: SimplicialComplex, d: int) -> int:
     """|H_(d-1)(X)| from the integer normal form (must be finite)."""
     profile = homology(X)

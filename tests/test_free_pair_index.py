@@ -23,7 +23,7 @@ from anticollapse.constructions import _witness, theorem2_construct
 from anticollapse.duality import alexander_dual
 from anticollapse.hypertrees import is_hypertree, kruskal_generate
 
-from conftest import pure_complexes, random_complex, rp2
+from conftest import pure_complexes, random_complex, rp2, small_search_complexes, top_free_faces
 
 
 def rescan_index(wb: _Workbench) -> dict[int, int]:
@@ -71,7 +71,7 @@ def checked_moves():
             if self.free is not None:
                 index = rescan_index(self)
                 assert self.free == by_size(self, index)
-                assert self.top_free_faces() == [t for t, _ in top_pairs(index)]
+                assert top_free_faces(self) == [t for t, _ in top_pairs(index)]
                 count[0] += 1
 
         return run
@@ -95,7 +95,7 @@ def test_index_matches_rescan_when_built():
         wb = _Workbench(X)
         index = rescan_index(wb)
         assert wb.free_index() == by_size(wb, index)
-        assert wb.top_free_faces() == [t for t, _ in top_pairs(index)]
+        assert top_free_faces(wb) == [t for t, _ in top_pairs(index)]
         face = X.face_of
         assert [(s.free, s.coface) for s in free_faces(X)] == [
             (face(t), face(c)) for t, c in sorted(index.items())]
@@ -136,6 +136,40 @@ def test_greedy_collapses_expand_back():
                 wb.expand(t, c)
             assert (wb.faces, wb.free) == before
     assert count[0] > 200
+
+
+def reference_greedy(wb: _Workbench, rng: Random) -> list[tuple[int, int]]:
+    """The greedy run through the workbench's methods: a seeded draw from
+    the sorted top free faces at every step, until a lone vertex or no free
+    face is left."""
+    steps = []
+    while not wb.is_single_vertex():
+        faces = top_free_faces(wb)
+        if not faces:
+            break
+        t = faces[rng.randrange(len(faces))]
+        c = wb.unique_coface(t)
+        wb.collapse(t, c)
+        steps.append((t, c))
+    return steps
+
+
+def test_greedy_draws_as_the_reference():
+    # same seeded draws, same steps, same end faces, and the generator left
+    # in the same state
+    cases = small_search_complexes()
+    trees = [kruskal_generate(n, d, seed) for n, d in ((8, 3), (7, 2)) for seed in range(12)]
+    cases += trees + [alexander_dual(X) for X in trees]
+    for seed, X in enumerate(cases):
+        wb, ref = _Workbench(X), _Workbench(X)
+        rng, ref_rng = Random(seed), Random(seed)
+        for _ in range(3):  # again from where the last run stopped
+            assert _greedy_collapse(wb, rng) == reference_greedy(ref, ref_rng)
+            assert wb.faces == ref.faces
+            assert rng.getstate() == ref_rng.getstate()
+            if wb.faces:
+                wb._remove(max(wb.faces))
+                ref._remove(max(ref.faces))
 
 
 def test_core_erosion_on_the_index():

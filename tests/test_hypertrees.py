@@ -11,16 +11,17 @@ import hashlib
 
 import pytest
 
-from anticollapse.collapse import core_erosion, search_collapse
+from anticollapse.collapse import _Workbench, core_erosion, search_collapse
 from anticollapse.complexes import (
     SimplicialComplex,
     from_facets,
     relabeled,
 )
-from anticollapse.duality import alexander_dual, is_anticollapsible
+from anticollapse.duality import _dual_masks, alexander_dual, is_anticollapsible
 from anticollapse.errors import InputError, SizeError
 from anticollapse.homology import (
     IncrementalRank,
+    _mask_column,
     homology,
     is_acyclic,
 )
@@ -31,6 +32,8 @@ from anticollapse.hypertrees import (
     UNKNOWN,
     _derive_seed,
     _kruskal,
+    _spanning_workbenches,
+    complete_skeleton,
     is_hypertree,
     kalai_check,
     kruskal_generate,
@@ -148,6 +151,46 @@ def test_kruskal_torsion_is_the_spanning_torsion():
     assert endings[8, 3, 237] == (True, 1)
     assert endings[8, 3, 497] == (True, 2)
     assert all(t == 1 for rest, t in endings.values() if not rest)
+
+
+def test_cached_kruskal_columns_are_never_changed():
+    # the (8, 3) columns are shared by every trial; runs that end with
+    # set-aside columns, which IncrementalRank clears in place, must leave
+    # them as built
+    engines = []
+
+    class Recorded(IncrementalRank):
+        def __init__(self) -> None:
+            super().__init__()
+            engines.append(self)
+
+    hypertrees._kruskal_columns.cache_clear()
+    cached = hypertrees._kruskal_columns(8, 3)
+    with mock.patch.object(hypertrees, "IncrementalRank", Recorded):
+        for seed in (237, 497):
+            _kruskal(8, 3, seed)
+        run_survey(8, 3, 3, 207)  # its third trial has torsion 2
+    assert sum(bool(engine._rest) for engine in engines) >= 3
+    assert hypertrees._kruskal_columns(8, 3) is cached
+    row_index = {m: i for i, m in enumerate(complete_skeleton(8, 2))}
+    assert cached == tuple((m, _mask_column(m, row_index)) for m in complete_skeleton(8, 3))
+
+
+def test_spanning_workbenches_match_the_general_build():
+    # the survey's workbenches, on cached skeletons with the dual taken as a
+    # skeleton plus complements, against workbenches of the faces of X and
+    # of its dual; d = n - 1 makes X the simplex and its dual void, and
+    # d = n - 2 gives the dual vertices as tops
+    for n in range(2, 10):
+        for d in range(1, n):
+            for seed in range(5):
+                tops = _kruskal(n, d, seed)[0]
+                X = kruskal_generate(n, d, seed)
+                built = _spanning_workbenches(X, d, tops)
+                for got, want in zip(built, (_Workbench(X), _Workbench(X, _dual_masks(X)))):
+                    assert got.faces == want.faces
+                    assert got.deg == want.deg
+                    assert got.free_index() == want.free_index()
 
 
 def test_spanning_torsion_matches_normal_form():
@@ -337,6 +380,12 @@ SURVEY_CSV_SHA256 = {
     # proves the complex is not collapsible
     (5, 3, 200, 99): "037a02a6d5e6b79e3d88aab3ea9d243d0fe5410dadccd920d11535bc15e17087",
     (6, 2, 200, 99): "0c3ad2a2c6baa8e6d0992a98b01ca7cf7ff214b2a44e2e031daba118d272a8d6",
+    # the edge pairs of the skeleton-built workbenches: X is the simplex and
+    # its dual void at d = n - 1, the dual's tops are vertices at d = n - 2,
+    # and the dual lies over a complete 4-skeleton at (9, 2)
+    (4, 3, 20, 1): "b66197be78ce18878f65677b51c9aee033f089ccfd0fd373ecc8ff31aa7750e9",
+    (6, 4, 200, 99): "7a42708eb401a1aa8ef1139b331374042b0040071a1e7a6b9c9ed744846a8e40",
+    (9, 2, 100, 5): "ebefe3bd6e48a55996ddf8c0fef04d419e81b0b9671c050ee29f3314fdaf122b",
 }
 
 
