@@ -5,6 +5,10 @@ removing the pair is an elementary collapse and adding such a pair is an
 elementary anticollapse.  Orderings of such moves are recorded as
 certificates whose replay re-validates every precondition and checks the
 start and end digests, so a certificate is independently verifiable.
+Replay and apply_step check each move on the plain set of face masks by
+these definitions; the searches run on a workbench of their own, which
+only removes cells, so a fault in one cannot pass a bad certificate in
+both.
 
 The one degenerate move, with the empty face as the free side, is
 representable but gated behind a flag that replay always sets: it is only
@@ -136,20 +140,18 @@ class MorseVector:
 
 # -- mask workbench ----------------------------------------------------
 #
-# Engines below run on the face bitmasks of the complex they start from.
+# The searches run on the face bitmasks of the complex they start from.
 # Only nonempty faces are cells; the empty face never enters the workbench.
 #
-# Every engine (greedy search, the random collapse procedure, free_faces
-# and core erosion) reads one index: the free faces by size.  In
-# a closed family a face is free exactly when it has degree 1 (a face
-# covering its one coface would give it a second), and the one coface is a
-# facet of size one more, found on demand for the faces a move takes.
-# Every move (collapse, expansion, removal of a facet) inserts or removes
-# facets one at a time, keeping the family closed after each.  A facet has
-# degree 0, and inserting or removing it changes degrees only on its
-# codimension-one faces, so only they can enter the index (at degree 1) or
-# leave it (at 0 or 2).  The index is built on first use, so replay and
-# apply_step, which validate with deg alone, never pay for it.
+# Every search engine (greedy search, the random collapse procedure,
+# free_faces and core erosion) reads one index: the free faces by size,
+# built with the workbench.  In a closed family a face is free exactly when
+# it has degree 1 (a face covering its one coface would give it a second),
+# and the one coface is a facet of size one more, found on demand for the
+# faces a move takes.  Every move removes facets one at a time, keeping the
+# family closed after each.  A facet has degree 0, and removing it lowers
+# degrees only on its codimension-one faces, so only they can enter the
+# index (at degree 1) or leave it (at 0).
 #
 # A collapse (t, c) with t of k vertices removes two facets in turn, c and
 # then t, so degrees fall only at sizes k and k - 1: the largest size with
@@ -179,7 +181,6 @@ class _Workbench:
         self.deg = deg = dict.fromkeys(self.faces, 0)
         deg.update(skeleton[1])
         self.faces.update(skeleton[0])
-        self.free: Optional[list[set[int]]] = None  # face size -> free faces
         for m in new:
             if m & (m - 1):
                 rest = m
@@ -187,30 +188,26 @@ class _Workbench:
                     b = rest & -rest
                     rest ^= b
                     deg[m ^ b] += 1
+        # face size -> free faces
+        self.free: list[set[int]] = [set() for _ in range(self.all_bits.bit_length() + 1)]
+        for m in self.faces:
+            if deg[m] == 1:
+                self.free[m.bit_count()].add(m)
 
     def copy(self) -> "_Workbench":
-        """An independent workbench in the same state; both get the index."""
+        """An independent workbench in the same state."""
         new = _Workbench.__new__(_Workbench)
         new.base, new.all_bits = self.base, self.all_bits
         new.faces = set(self.faces)
         new.deg = dict(self.deg)
-        new.free = [set(ts) for ts in self.free_index()]
+        new.free = [set(ts) for ts in self.free]
         return new
 
-    def _insert(self, m: int) -> None:
-        self.faces.add(m)
-        self.deg.setdefault(m, 0)
-        self._shift_ridges(m, 1)
-
     def _remove(self, m: int) -> None:
+        """Remove the facet m: each codimension-one face of it loses one
+        degree, entering the index as it falls to 1 and leaving it at 0."""
         self.faces.discard(m)
-        self._shift_ridges(m, -1)
-
-    def _shift_ridges(self, m: int, delta: int) -> None:
-        """Add delta to the degree of each codimension-one face of the facet
-        m, filing a face in the index as it reaches degree 1 and out of it
-        as it leaves degree 1."""
-        free = None if self.free is None else self.free[m.bit_count() - 1]
+        free = self.free[m.bit_count() - 1]
         deg = self.deg
         rest = m
         while rest:
@@ -218,13 +215,12 @@ class _Workbench:
             rest ^= b
             sub = m ^ b
             if sub:
-                k = deg.get(sub, 0) + delta
+                k = deg[sub] - 1
                 deg[sub] = k
-                if free is not None:
-                    if k == 1:
-                        free.add(sub)
-                    elif k == 1 + delta:
-                        free.discard(sub)
+                if k == 1:
+                    free.add(sub)
+                elif not k:
+                    free.discard(sub)
 
     def unique_coface(self, m: int) -> int:
         rest = self.all_bits & ~m
@@ -235,27 +231,9 @@ class _Workbench:
                 return m | b
         raise StepError(f"face {self.base.face_of(m)} has no coface")
 
-    # the free-face index
-
-    def free_index(self) -> list[set[int]]:
-        """The free faces by size, entry k holding those of k vertices;
-        built on first use."""
-        if self.free is None:
-            self.free = [set() for _ in range(self.all_bits.bit_length() + 1)]
-            for m in self.faces:
-                if self.deg[m] == 1:
-                    self.free[m.bit_count()].add(m)
-        return self.free
-
-    # moves
-
     def collapse(self, t: int, c: int) -> None:
         self._remove(c)
         self._remove(t)
-
-    def expand(self, t: int, c: int) -> None:
-        self._insert(t)
-        self._insert(c)
 
     def is_single_vertex(self) -> bool:
         return len(self.faces) == 1 and next(iter(self.faces)).bit_count() == 1
@@ -264,61 +242,59 @@ class _Workbench:
         masks = (self.faces | {0}) if self.faces else ()
         return SimplicialComplex._from_masks(self.base.ground_set, masks)
 
-    # step validation shared by apply_step and replay
 
-    def check_collapse(self, t: int, c: int, allow_trivial: bool) -> None:
-        face = self.base.face_of
+# -- step check --------------------------------------------------------
+
+
+def _step(faces: set[int], X: SimplicialComplex, step: StepPair, allow_trivial: bool) -> None:
+    """Check one elementary move on a closed set of face masks over the
+    ground set of X, the empty face kept as 0, by the definitions alone,
+    and make it in place; StepError names the first failed condition."""
+    t, c = X.mask_of(step.free), X.mask_of(step.coface)
+    face = X.face_of
+    if step.direction == COLLAPSE:
         if t == 0:
             if not allow_trivial:
                 raise StepError("the empty face may only collapse with the trivial flag")
-            if not (len(self.faces) == 1 and c in self.faces and c.bit_count() == 1):
+            # the empty face is free with coface c when c is the only
+            # vertex, so that the faces are 0 and c
+            if faces != {0, c}:
                 raise StepError("trivial collapse needs a single-vertex complex")
-            return
-        if t not in self.faces:
-            raise StepError(f"free face {face(t)} is not in the complex")
-        if c not in self.faces:
-            raise StepError(f"coface {face(c)} is not in the complex")
-        if self.deg.get(t, 0) != 1 or self.unique_coface(t) != c:
-            raise StepError(f"{face(t)} is not free with coface {face(c)}")
-        if self.deg.get(c, 0) != 0:
-            raise StepError(f"{face(c)} is not a facet")
-
-    def check_expand(self, t: int, c: int, allow_trivial: bool) -> None:
-        face = self.base.face_of
-        if t in self.faces or (t == 0 and self.faces):
+        else:
+            if t not in faces:
+                raise StepError(f"free face {face(t)} is not in the complex")
+            if c not in faces:
+                raise StepError(f"coface {face(c)} is not in the complex")
+            # t is free when c is its only cover: no face t | b for a vertex
+            # b outside c.  Then c is a facet, for a face covering c would
+            # contain a second cover of t.
+            rest = ((1 << len(X.ground_set)) - 1) & ~c
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if t | b in faces:
+                    raise StepError(f"{face(t)} is not free with coface {face(c)}")
+        faces.discard(c)
+        faces.discard(t)
+    else:
+        if t in faces:
             raise StepError(f"added face {face(t)} is already present")
-        if c in self.faces:
+        if c in faces:
             raise StepError(f"added coface {face(c)} is already present")
-        if t == 0:
-            if not allow_trivial:
-                raise StepError("the empty face may only expand with the trivial flag")
-            if self.faces:
-                raise StepError("trivial expansion needs the complex with no faces")
-            return
+        if t == 0 and not allow_trivial:
+            raise StepError("the empty face may only expand with the trivial flag")
+        # every facet of c but t must be present, so that t comes out free
         rest = c
         while rest:
             b = rest & -rest
             rest ^= b
-            facet = c ^ b
-            if facet != t and facet not in self.faces:
+            if c ^ b != t and c ^ b not in faces:
                 raise StepError(
-                    f"facet {face(facet)} of {face(c)} is missing; "
+                    f"facet {face(c ^ b)} of {face(c)} is missing; "
                     "only the added free face may be absent"
                 )
-
-    def apply(self, t: int, c: int, direction: str, allow_trivial: bool) -> None:
-        if direction == COLLAPSE:
-            self.check_collapse(t, c, allow_trivial)
-            if t == 0:
-                self._remove(c)
-            else:
-                self.collapse(t, c)
-        else:
-            self.check_expand(t, c, allow_trivial)
-            if t == 0:
-                self._insert(c)
-            else:
-                self.expand(t, c)
+        faces.add(t)
+        faces.add(c)
 
 
 # -- public operations -------------------------------------------------
@@ -333,7 +309,7 @@ def free_faces(X: SimplicialComplex, allow_trivial: bool = False) -> list[StepPa
     """
     wb = _Workbench(X)
     face = X.face_of
-    free = sorted(t for ts in wb.free_index() for t in ts)
+    free = sorted(t for ts in wb.free for t in ts)
     pairs = [StepPair(face(t), face(wb.unique_coface(t)), COLLAPSE) for t in free]
     if allow_trivial and wb.is_single_vertex():
         pairs.append(StepPair(EMPTY_FACE, face(next(iter(wb.faces))), COLLAPSE))
@@ -344,9 +320,9 @@ def apply_step(
     X: SimplicialComplex, step: StepPair, allow_trivial: bool = False
 ) -> SimplicialComplex:
     """Apply one validated elementary move; the ground set never changes."""
-    wb = _Workbench(X)
-    wb.apply(X.mask_of(step.free), X.mask_of(step.coface), step.direction, allow_trivial)
-    return wb.to_complex()
+    faces = set(X._masks)
+    _step(faces, X, step, allow_trivial)
+    return SimplicialComplex._from_masks(X.ground_set, faces)
 
 
 def replay(X: SimplicialComplex, cert: Certificate) -> SimplicialComplex:
@@ -357,12 +333,12 @@ def replay(X: SimplicialComplex, cert: Certificate) -> SimplicialComplex:
     """
     if digest(X) != cert.start_hash:
         raise StepError("certificate start digest does not match the complex")
-    wb = _Workbench(X)
+    faces = set(X._masks)
     for step in cert.steps:
         if step.direction != cert.kind:
             raise StepError("certificate mixes step directions")
-        wb.apply(X.mask_of(step.free), X.mask_of(step.coface), step.direction, True)
-    end = wb.to_complex()
+        _step(faces, X, step, True)
+    end = SimplicialComplex._from_masks(X.ground_set, faces)
     if digest(end) != cert.end_hash:
         raise StepError("certificate end digest does not match the replayed complex")
     return end
@@ -386,7 +362,7 @@ def core_erosion(X: SimplicialComplex) -> tuple[SimplicialComplex, bool]:
     if d < 1:
         raise InputError("erosion needs a complex of dimension at least 1")
     wb = _Workbench(X)
-    ridges = wb.free_index()[d]  # mask size d: the (d-1)-faces
+    ridges = wb.free[d]  # mask size d: the (d-1)-faces
     while ridges:
         # the top core is the same for every order; the collapse files the
         # ridges of the coface it leaves free in this same set
@@ -401,13 +377,10 @@ def _greedy_collapse(wb: _Workbench, rng: Random) -> list[tuple[int, int]]:
 
     The top free size only goes down, so one counter tracks it: collapsing
     (t, c) with t of k vertices lowers degrees only on the faces of c, of
-    size k, and on those of t, of size k - 1, so no larger face turns free.
-    A lone vertex returns before the index is built."""
+    size k, and on those of t, of size k - 1, so no larger face turns free."""
     steps: list[tuple[int, int]] = []
     faces = wb.faces
-    if len(faces) == 1 and next(iter(faces)).bit_count() == 1:
-        return steps
-    free = wb.free_index()
+    free = wb.free
     remove = wb._remove
     randrange = rng.randrange
     all_bits = wb.all_bits
@@ -444,7 +417,7 @@ def _collapse_masks(
     steps of the last run: FOUND when a run collapses to a vertex, REFUTED
     when a run stops with a face of the starting top size left and that
     size is at least 2, UNKNOWN otherwise.  wb must hold a vertex and is
-    left as it was, apart from its index, which gets built.
+    left as it was.
 
     A run that stops with a face of the starting top size left ends the
     search at once.  Greedy takes free ridges first, so every run does the

@@ -246,7 +246,7 @@ def _classify(
         torsion_order=torsion,
         collapsible=collapsible,
         anticollapsible=anticollapsible,
-        free_face_count=sum(map(len, wb.free_index())),
+        free_face_count=sum(map(len, wb.free)),
     )
 
 

@@ -198,7 +198,7 @@ def small_search_complexes() -> list[SimplicialComplex]:
 def top_free_faces(wb) -> list[int]:
     """The free faces of the largest size that has any in a collapse
     workbench, sorted: the list a greedy step draws from."""
-    for ts in reversed(wb.free_index()):
+    for ts in reversed(wb.free):
         if ts:
             return sorted(ts)
     return []

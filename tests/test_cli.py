@@ -14,7 +14,7 @@ import pytest
 import anticollapse
 from anticollapse import collapse, constructions
 from anticollapse.cli import EXIT_FAIL, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, main
-from anticollapse.collapse import apply_step
+from anticollapse.collapse import ANTICOLLAPSE, Certificate, StepPair, apply_step
 from anticollapse.complexes import (
     SimplicialComplex,
     digest,
@@ -73,6 +73,18 @@ def test_verify_cert_catches_tampering(simplex_file, tmp_path, capsys):
     payload["steps"] = payload["steps"][:-1]
     cert_path.write_text(json.dumps(payload))
     assert main(["verify-cert", simplex_file, str(cert_path)]) == EXIT_FAIL
+
+
+def test_verify_cert_rejects_trivial_expansion_of_the_empty_complex(tmp_path, capsys):
+    # "ground 1" alone is the complex whose only face is the empty face
+    facets = tmp_path / "empty.facets"
+    facets.write_text("ground 1\n", encoding="utf-8")
+    start, point = read_facet_file(facets), from_facets([[1]])
+    step = StepPair((), (1,), ANTICOLLAPSE)
+    cert = tmp_path / "empty.cert"
+    cert.write_text(Certificate(ANTICOLLAPSE, (step,), digest(start), digest(point)).to_json())
+    assert main(["verify-cert", str(facets), str(cert)]) == EXIT_FAIL
+    assert capsys.readouterr().out == "replay failed: added face () is already present\n"
 
 
 def test_collapse_failure_exit_code(tmp_path, capsys):

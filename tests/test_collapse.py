@@ -40,6 +40,7 @@ from anticollapse.homology import homology
 from anticollapse.hypertrees import _derive_seed, is_hypertree
 
 from conftest import (
+    all_complexes_on,
     collapses_by_definition,
     pure_complexes,
     random_complex,
@@ -118,6 +119,46 @@ def test_trivial_steps_are_gated():
     assert not gone.faces  # the void complex
     back = apply_step(gone, StepPair((), (1,), ANTICOLLAPSE), allow_trivial=True)
     assert back == point or back.faces == point.faces
+
+
+def test_trivial_expansion_needs_the_void_complex():
+    # the empty complex holds the empty face, so (empty face, v) cannot be
+    # added to it; only the complex with no faces expands to a point
+    with pytest.raises(StepError, match=r"^added face \(\) is already present$"):
+        apply_step(SimplicialComplex.empty([1]), StepPair((), (1,), ANTICOLLAPSE),
+                   allow_trivial=True)
+
+
+def test_steps_agree_with_free_faces_and_the_dual():
+    # every step (t, c) with c = t plus one vertex, in both directions: a
+    # collapse is legal iff free_faces lists it, an expansion iff its
+    # transport (V - c, V - t) is a free pair of the dual, and a legal step
+    # removes or adds just the pair
+    cases = [X for n in range(1, 5) for X in all_complexes_on(tuple(range(1, n + 1)))]
+    checked = 0
+    for X in cases + pure_complexes():
+        V = sorted(X.ground_set)
+
+        def rest(f):
+            return tuple(v for v in V if v not in f)
+
+        pairs = {(s.free, s.coface) for s in free_faces(X, True)}
+        dual_pairs = {(s.free, s.coface) for s in free_faces(alexander_dual(X), True)}
+        for k in range(len(V)):
+            for t in combinations(V, k):
+                for c in (tuple(sorted(t + (v,))) for v in rest(t)):
+                    for direction, legal, faces in (
+                        (COLLAPSE, (t, c) in pairs, X.faces - {t, c}),
+                        (ANTICOLLAPSE, (rest(c), rest(t)) in dual_pairs, X.faces | {t, c}),
+                    ):
+                        try:
+                            Y = apply_step(X, StepPair(t, c, direction), allow_trivial=True)
+                        except StepError:
+                            Y = None
+                        assert (Y is not None) == legal, (X.facets(), t, c, direction)
+                        assert Y is None or Y.faces == faces
+                        checked += 1
+    assert checked > 30000
 
 
 def test_euler_and_homology_invariant_under_steps():

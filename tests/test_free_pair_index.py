@@ -11,14 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anticollapse.collapse import (
+    ANTICOLLAPSE,
+    Certificate,
+    StepPair,
     _collapse_masks,
     _greedy_collapse,
     _Workbench,
     core_erosion,
     free_faces,
     random_discrete_morse,
+    replay,
 )
-from anticollapse.complexes import SimplicialComplex, from_facets
+from anticollapse.complexes import SimplicialComplex, digest, from_facets
 from anticollapse.constructions import _witness, theorem2_construct
 from anticollapse.duality import alexander_dual
 from anticollapse.hypertrees import is_hypertree, kruskal_generate
@@ -60,24 +64,20 @@ def top_pairs(index: dict[int, int]) -> list[tuple[int, int]]:
 
 @contextmanager
 def checked_moves():
-    """Check the index of every indexed workbench after each cell it inserts
-    or removes, so within every move too; yields a one-element list counting
-    the checked cells."""
+    """Check the index of every workbench after each cell it removes, so
+    within every move too; yields a one-element list counting the checked
+    cells."""
     count = [0]
+    remove = _Workbench._remove
 
-    def checked(step):
-        def run(self, m):
-            step(self, m)
-            if self.free is not None:
-                index = rescan_index(self)
-                assert self.free == by_size(self, index)
-                assert top_free_faces(self) == [t for t, _ in top_pairs(index)]
-                count[0] += 1
+    def checked(self, m):
+        remove(self, m)
+        index = rescan_index(self)
+        assert self.free == by_size(self, index)
+        assert top_free_faces(self) == [t for t, _ in top_pairs(index)]
+        count[0] += 1
 
-        return run
-
-    with mock.patch.object(_Workbench, "_insert", checked(_Workbench._insert)), \
-            mock.patch.object(_Workbench, "_remove", checked(_Workbench._remove)):
+    with mock.patch.object(_Workbench, "_remove", checked):
         yield count
 
 
@@ -94,7 +94,7 @@ def test_index_matches_rescan_when_built():
     for X in [random_complex(rng, 7) for _ in range(60)] + pure_complexes():
         wb = _Workbench(X)
         index = rescan_index(wb)
-        assert wb.free_index() == by_size(wb, index)
+        assert wb.free == by_size(wb, index)
         assert top_free_faces(wb) == [t for t, _ in top_pairs(index)]
         face = X.face_of
         assert [(s.free, s.coface) for s in free_faces(X)] == [
@@ -120,8 +120,8 @@ def test_greedy_runs_on_witness_duals():
 
 
 def test_greedy_collapses_expand_back():
-    # greedy collapses, then the same pairs expanded in reverse order: the
-    # faces and the index kept by _insert come back
+    # greedy collapses, then the same pairs in reverse order replayed as an
+    # expansion certificate: X comes back
     rng = Random(12)
     tried = 0
     with checked_moves() as count:
@@ -131,10 +131,11 @@ def test_greedy_collapses_expand_back():
                 continue
             tried += 1
             wb = _Workbench(X)
-            before = (set(wb.faces), [set(ts) for ts in wb.free_index()])
-            for t, c in reversed(_greedy_collapse(wb, Random(tried))):
-                wb.expand(t, c)
-            assert (wb.faces, wb.free) == before
+            steps = _greedy_collapse(wb, Random(tried))
+            end = wb.to_complex()
+            face = X.face_of
+            pairs = tuple(StepPair(face(t), face(c), ANTICOLLAPSE) for t, c in reversed(steps))
+            assert replay(end, Certificate(ANTICOLLAPSE, pairs, digest(end), digest(X))) == X
     assert count[0] > 200
 
 
@@ -182,7 +183,7 @@ def test_core_erosion_on_the_index():
         for X in cases:
             if X.dim >= 1:
                 residue = core_erosion(X)[0]
-                assert not _Workbench(residue).free_index()[X.dim]
+                assert not _Workbench(residue).free[X.dim]
     assert count[0] > 600
 
 
@@ -200,9 +201,7 @@ def complexes(draw):
 def test_random_discrete_morse_removals(X, seed):
     with checked_moves() as count:
         vector, matching = random_discrete_morse(X, rng_seed=seed)
-    # a lone vertex is removed before any search builds the index
-    removed = 2 * len(matching) + sum(vector.counts)
-    assert count[0] == (0 if len(X.faces) == 2 else removed)
+    assert count[0] == 2 * len(matching) + sum(vector.counts)
 
 
 def test_free_face_count_of_hypertree_report():

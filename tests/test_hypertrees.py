@@ -190,7 +190,7 @@ def test_spanning_workbenches_match_the_general_build():
                 for got, want in zip(built, (_Workbench(X), _Workbench(X, _dual_masks(X)))):
                     assert got.faces == want.faces
                     assert got.deg == want.deg
-                    assert got.free_index() == want.free_index()
+                    assert got.free == want.free
 
 
 def test_spanning_torsion_matches_normal_form():
