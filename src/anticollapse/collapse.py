@@ -30,7 +30,6 @@ from .complexes import (
     SimplicialComplex,
     digest,
     link_and_del,
-    make_face,
 )
 from .errors import InputError, StepError
 
@@ -85,18 +84,27 @@ class Certificate:
             kind = payload["kind"]
             if kind not in (COLLAPSE, ANTICOLLAPSE):
                 raise InputError(f"unknown certificate kind {kind!r}")
-            steps = tuple(
-                StepPair(make_face(free), make_face(coface), kind)
-                for free, coface in payload["steps"]
-            )
-            if [[list(s.free), list(s.coface)] for s in steps] != payload["steps"]:
-                raise InputError("vertex lists must be sorted integers without repeats")
+            steps = tuple(StepPair(_face_of_json(free), _face_of_json(coface), kind)
+                          for free, coface in payload["steps"])
             for key in ("start", "end"):
                 if not isinstance(payload[key], str) or not re.fullmatch("[0-9a-f]{64}", payload[key]):
                     raise InputError(f"{key} digest must be 64 lowercase hex digits")
             return Certificate(kind, steps, payload["start"], payload["end"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed certificate: {exc}") from exc
+
+
+def _face_of_json(vertices: object) -> Face:
+    """A certificate's vertex list as a face, which it must already be:
+    a list of ints, not booleans, that are at least 1 and strictly increase."""
+    if not isinstance(vertices, list):
+        raise InputError(f"a vertex list must be a list, got {type(vertices).__name__}")
+    last = 0
+    for v in vertices:
+        if type(v) is not int or v <= last:
+            raise InputError("vertex lists must be sorted integers without repeats")
+        last = v
+    return tuple(vertices)
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,12 @@ class SimplicialComplex:
     def face_of(self, mask: int) -> Face:
         """The face tuple of a bitmask over the sorted ground set."""
         labels = self._labels
-        return tuple(labels[i] for i in range(mask.bit_length()) if mask >> i & 1)
+        face = []
+        while mask:
+            low = mask & -mask
+            face.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return tuple(face)
 
     # -- basic queries -------------------------------------------------
 
@@ -325,8 +330,17 @@ def relabeled(X: SimplicialComplex, mapping: dict[int, int]) -> SimplicialComple
     if len(ground) != len(X.ground_set):
         raise InputError("relabeling is not injective on the ground set")
     bits = _bits_of(ground)
-    moved = {v: bits[w] for v, w in moves.items()}
-    return SimplicialComplex._from_masks(ground, {_mask(moved, f) for f in X.faces})
+    moved = [bits[moves[v]] for v in X._labels]  # bit i of a mask goes to moved[i]
+
+    def image(m: int) -> int:
+        out = 0
+        while m:
+            low = m & -m
+            out |= moved[low.bit_length() - 1]
+            m ^= low
+        return out
+
+    return SimplicialComplex._from_masks(ground, map(image, X._masks))
 
 
 # -- canonical digests and the facet file format ----------------------

@@ -17,12 +17,13 @@ no search and depends on (n, d) only.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .collapse import (
     ANTICOLLAPSE,
@@ -478,45 +479,52 @@ ConstructionResult = Union[tuple[SimplicialComplex, Certificate], Refusal]
 
 
 @lru_cache(maxsize=None)
-def _witness(n: int, d: int) -> tuple[SimplicialComplex, tuple[StepPair, ...]]:
+def _witness(n: int, d: int) -> tuple[SimplicialComplex, array, array]:
     """The witness for an admissible pair and its expansion steps to the
-    full simplex, composed from the 8-vertex bases by the two lemmas."""
+    full simplex, composed from the 8-vertex bases by the two lemmas.
+
+    Step i adds the free face free[i] with its coface coface[i], both masks
+    over {1..n} with bit i for vertex i + 1, as inside the witness.  A mask
+    stays below 2^64, the bound of array('Q'): MAX_FACES admits n <= 18.
+    The cached arrays are shared by every caller and never changed.
+    """
     if n == 8:
         base = load_base_case(d) if d < 4 else catalog("dual_Y28_2")
-        return base.complex, base.certificate.steps
+        X, steps = base.complex, base.certificate.steps
+        return (X, array("Q", [X.mask_of(s.free) for s in steps]),
+                array("Q", [X.mask_of(s.coface) for s in steps]))
     if d >= 3:
         # X = a*W[x->b] + b*W[x->a].  Each non-face S of X (equally, of W) off
         # a and b, added with S + a, fills in the simplex on G - b; then W's
         # expansion with x renamed a, coned over b, ends at the simplex on G.
         # W lives on {1..n-1}, so x = 1 and (a, b) = (1, n): renaming x to a
-        # is the identity, and appending b keeps each step sorted.  Should
-        # that change, the replay in theorem2_construct fails loudly.
-        W, inner = _witness(n - 1, d - 1)
+        # is the identity, and W's masks are X's.  Should that change, the
+        # replay in theorem2_construct fails loudly.
+        W, inner_free, inner_coface = _witness(n - 1, d - 1)
         x = min(W.support)
         a, b = double_cone_labels(W, x)
         X = double_cone(W, x)
-        rest = sorted(X.ground_set - {a, b})
-        steps = [_step(S, S + (a,)) for k in range(len(rest) + 1)
-                 for S in combinations(rest, k) if S not in W]
-        steps += [StepPair(s.free + (b,), s.coface + (b,), ANTICOLLAPSE) for s in inner]
-        return X, tuple(steps)
+        rest = [1 << v - 1 for v in sorted(X.ground_set - {a, b})]
+        free = array("Q", [S for k in range(len(rest) + 1)
+                           for S in map(sum, combinations(rest, k)) if S not in W._masks])
+        coface = array("Q", [S | 1 << a - 1 for S in free])
+        free.extend(t | 1 << b - 1 for t in inner_free)
+        coface.extend(c | 1 << b - 1 for c in inner_coface)
+        return X, free, coface
     # Stacking X = W - sigma + v*(boundary of sigma): put sigma back with
     # sigma + v, expand W to the simplex on G - v, then add each missing
     # face t + v together with t + v + w, w the least vertex of sigma.
-    W, inner = _witness(n - 1, 2)
+    W, inner_free, inner_coface = _witness(n - 1, 2)
     sigma = min(W.faces_of_dim(2))
     X = stacking_move(W, sigma)
     (v,) = X.ground_set - W.ground_set
-    w = sigma[0]
-    rest = sorted(X.ground_set - {v, w})
-    steps = [_step(sigma, sigma + (v,)), *inner]
-    steps += [_step(t + (v,), t + (v, w)) for k in range(1, len(rest) + 1)
-              for t in combinations(rest, k) if not set(t) <= set(sigma)]
-    return X, tuple(steps)
-
-
-def _step(free: Iterable[int], coface: Iterable[int]) -> StepPair:
-    return StepPair(tuple(sorted(free)), tuple(sorted(coface)), ANTICOLLAPSE)
+    s, v_bit, w_bit = X.mask_of(sigma), 1 << v - 1, 1 << sigma[0] - 1
+    rest = [1 << u - 1 for u in sorted(X.ground_set - {v, sigma[0]})]
+    tops = [t | v_bit for k in range(1, len(rest) + 1)
+            for t in map(sum, combinations(rest, k)) if t & ~s]
+    free = array("Q", [s, *inner_free, *tops])
+    coface = array("Q", [s | v_bit, *inner_coface, *(t | w_bit for t in tops)])
+    return X, free, coface
 
 
 def theorem2_construct(n: int, d: int) -> ConstructionResult:
@@ -541,7 +549,9 @@ def theorem2_construct(n: int, d: int) -> ConstructionResult:
     if n <= 7:
         return _refusal(REFUSE_SMALL_N)
     check_face_count(1 << n, f"a witness on {n} vertices, expanded to the simplex,")
-    X, steps = _witness(n, d)
+    X, free, coface = _witness(n, d)
+    face = X.face_of
+    steps = tuple(StepPair(face(t), face(c), ANTICOLLAPSE) for t, c in zip(free, coface))
     certificate = Certificate(ANTICOLLAPSE, steps, digest(X), digest(SimplicialComplex.simplex(n)))
     # one free-face scan and one replay, so a faulty composition fails here
     _check_witness(f"witness_{n}_{d}", X, d, certificate,

@@ -11,7 +11,21 @@ from random import Random
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from anticollapse.complexes import Face, SimplicialComplex, from_facets
+from anticollapse.collapse import ANTICOLLAPSE, StepPair
+from anticollapse.complexes import (
+    Face,
+    SimplicialComplex,
+    _bits_of,
+    _mask,
+    from_facets,
+    make_face,
+)
+from anticollapse.constructions import (
+    catalog,
+    double_cone_labels,
+    load_base_case,
+    stacking_move,
+)
 from anticollapse.errors import InputError
 from anticollapse.homology import homology
 
@@ -227,6 +241,54 @@ def dual_by_enumeration(X: SimplicialComplex) -> SimplicialComplex:
             if comp not in X.faces:
                 faces.add(sub)
     return SimplicialComplex(X.ground_set, faces)
+
+
+def relabeled_by_faces(X: SimplicialComplex, mapping: dict[int, int]) -> SimplicialComplex:
+    """complexes.relabeled through the face tuples: every face of X.faces
+    masked again over the moved labels; the oracle for the mask map."""
+    moves = {v: mapping.get(v, v) for v in X.ground_set}
+    ground = make_face(set(moves.values()))
+    if len(ground) != len(X.ground_set):
+        raise InputError("relabeling is not injective on the ground set")
+    bits = _bits_of(ground)
+    moved = {v: bits[w] for v, w in moves.items()}
+    return SimplicialComplex._from_masks(ground, {_mask(moved, f) for f in X.faces})
+
+
+@lru_cache(maxsize=None)
+def witness_by_tuples(n: int, d: int) -> tuple[SimplicialComplex, tuple[StepPair, ...]]:
+    """The witness of an admissible pair and its expansion steps, composed
+    on face tuples with StepPairs at every level, the double cone through
+    relabeled_by_faces: the oracle for constructions._witness's masks."""
+    if n == 8:
+        base = load_base_case(d) if d < 4 else catalog("dual_Y28_2")
+        return base.complex, base.certificate.steps
+
+    def step(free: tuple[int, ...], coface: tuple[int, ...]) -> StepPair:
+        return StepPair(tuple(sorted(free)), tuple(sorted(coface)), ANTICOLLAPSE)
+
+    if d >= 3:
+        W, inner = witness_by_tuples(n - 1, d - 1)
+        x = min(W.support)
+        a, b = double_cone_labels(W, x)
+        facets = [f + (a,) for f in relabeled_by_faces(W, {x: b}).facets()]
+        facets += [f + (b,) for f in relabeled_by_faces(W, {x: a}).facets()]
+        X = from_facets(facets, ground=(W.ground_set - {x}) | {a, b})
+        rest = sorted(X.ground_set - {a, b})
+        steps = [step(S, S + (a,)) for k in range(len(rest) + 1)
+                 for S in combinations(rest, k) if S not in W]
+        steps += [StepPair(s.free + (b,), s.coface + (b,), ANTICOLLAPSE) for s in inner]
+        return X, tuple(steps)
+    W, inner = witness_by_tuples(n - 1, 2)
+    sigma = min(W.faces_of_dim(2))
+    X = stacking_move(W, sigma)
+    (v,) = X.ground_set - W.ground_set
+    w = sigma[0]
+    rest = sorted(X.ground_set - {v, w})
+    steps = [step(sigma, sigma + (v,)), *inner]
+    steps += [step(t + (v,), t + (v, w)) for k in range(1, len(rest) + 1)
+              for t in combinations(rest, k) if not set(t) <= set(sigma)]
+    return X, tuple(steps)
 
 
 @pytest.fixture

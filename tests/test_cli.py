@@ -361,14 +361,15 @@ def test_reproduce_quick_checks_each_witness_once(monkeypatch, capsys):
 def with_free_face():
     """The (8, 2) witness after its first expansion: a 3-complex on 8
     vertices whose added face is free, with the rest of the certificate."""
-    X, steps = constructions._witness(8, 2)
-    return apply_step(X, steps[0]), steps[1:]
+    X, free, coface = constructions._witness(8, 2)
+    first = StepPair(X.face_of(free[0]), X.face_of(coface[0]), ANTICOLLAPSE)
+    return apply_step(X, first), free[1:], coface[1:]
 
 
 def truncated():
     """The (8, 2) witness with the last step of its certificate dropped."""
-    X, steps = constructions._witness(8, 2)
-    return X, steps[:-1]
+    X, free, coface = constructions._witness(8, 2)
+    return X, free[:-1], coface[:-1]
 
 
 @pytest.mark.parametrize("bad_witness, d, error, match", [
@@ -393,8 +394,10 @@ def test_faulty_witness_fails_construct_and_reproduce(bad_witness, d, error, mat
         lambda free, coface: (free, [True if v == 1 else v for v in coface]),
         lambda free, coface: (free, coface[::-1]),
         lambda free, coface: (free[:1] + free[:-1], coface),
+        lambda free, coface: ([0] + free, [0] + coface),
+        lambda free, coface: (free, " ".join(map(str, coface))),
     ],
-    ids=["float", "boolean", "unsorted", "repeated"],
+    ids=["float", "boolean", "unsorted", "repeated", "zero", "string"],
 )
 def test_verify_cert_rejects_noncanonical_vertex_lists(simplex_file, tmp_path, capsys, mutate):
     cert_path = tmp_path / "simplex.cert"
@@ -403,7 +406,9 @@ def test_verify_cert_rejects_noncanonical_vertex_lists(simplex_file, tmp_path, c
     payload["steps"][0] = list(mutate(*payload["steps"][0]))
     cert_path.write_text(json.dumps(payload))
     assert main(["verify-cert", simplex_file, str(cert_path)]) == EXIT_USAGE
-    assert "replay ok" not in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "replay ok" not in out
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

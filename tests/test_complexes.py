@@ -26,7 +26,14 @@ from anticollapse.complexes import (
 from anticollapse.duality import alexander_dual
 from anticollapse.errors import InputError, SizeError
 
-from conftest import all_complexes_on, connected_components, dual_by_enumeration, random_complex
+from conftest import (
+    all_complexes_on,
+    connected_components,
+    dual_by_enumeration,
+    pure_complexes,
+    random_complex,
+    relabeled_by_faces,
+)
 
 Y28_FACETS = [
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 3, 8), (1, 6, 8),
@@ -190,6 +197,19 @@ def test_relabeled_injective():
     assert Y.facets() == ((2, 5),)
     with pytest.raises(InputError):
         relabeled(X, {1: 2})
+
+
+def test_relabeled_matches_the_face_oracle():
+    for X in pure_complexes():
+        n = len(X.ground_set)
+        injective = [{}, {1: n + 1}, {1: 1, n: 2 * n}, {v: n + 1 - v for v in X.ground_set},
+                     {v: 7 * v + 100 for v in X.ground_set if v % 2}]
+        for move in injective:
+            assert relabeled(X, move) == relabeled_by_faces(X, move)
+        for move in ({1: 2}, {v: 1 for v in X.ground_set}, {1: n + 1, 2: n + 1}):
+            for relabel in (relabeled, relabeled_by_faces):
+                with pytest.raises(InputError, match="not injective"):
+                    relabel(X, move)
 
 
 def test_digest_ignores_facet_order_and_detects_changes():

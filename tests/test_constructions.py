@@ -41,7 +41,7 @@ from anticollapse.errors import InputError, StepError
 from anticollapse.homology import _mask_column, homology, smith_invariant_factors
 from anticollapse.hypertrees import complete_skeleton
 
-from conftest import random_complex, rp2
+from conftest import random_complex, rp2, witness_by_tuples
 
 
 # -- catalog -----------------------------------------------------------
@@ -463,6 +463,15 @@ def test_witnesses_compose_without_search(monkeypatch):
     for d in range(2, 8):
         X, cert = theorem2_construct(11, d)
         assert replay(X, cert).is_simplex()
+
+
+def test_witnesses_match_the_tuple_composition():
+    for n in range(8, 12):
+        for d in range(2, n - 3):
+            X, cert = theorem2_construct(n, d)
+            Y, steps = witness_by_tuples(n, d)
+            assert X == Y
+            assert cert.steps == steps
 
 
 def test_witnesses_are_integrally_acyclic():
