@@ -21,6 +21,7 @@ import json
 import re
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
+from itertools import compress
 from random import Random
 from typing import Collection, Optional
 
@@ -146,109 +147,187 @@ class MorseVector:
         return "(" + ", ".join(str(c) for c in self.counts) + ")"
 
 
-# -- mask workbench ----------------------------------------------------
+# -- collapse workbench -----------------------------------------------
 #
-# The searches run on the face bitmasks of the complex they start from.
-# Only nonempty faces are cells; the empty face never enters the workbench.
+# The searches run on a workbench of cells: the nonempty faces in a table
+# (_Cells) that numbers them in ascending mask order and lists, for each,
+# the ids of its codimension-one faces (below) and, once asked, of its
+# cofaces in the table (above).  The empty face is never a cell.  A table
+# never changes otherwise, so many workbenches share one: a complex's
+# table is built with its workbench, and a survey trial's comes from a
+# cache per (n, k) that holds the complete k-skeleton with every
+# (k+1)-face as an absent cell (see hypertrees).  Ids only index the
+# table; steps, faces and messages are masks.
 #
-# Every search engine (greedy search, the random collapse procedure,
-# free_faces and core erosion) reads one index: the free faces by size,
-# built with the workbench.  In a closed family a face is free exactly when
-# it has degree 1 (a face covering its one coface would give it a second),
-# and the one coface is a facet of size one more, found on demand for the
-# faces a move takes.  Every move removes facets one at a time, keeping the
-# family closed after each.  A facet has degree 0, and removing it lowers
-# degrees only on its codimension-one faces, so only they can enter the
-# index (at degree 1) or leave it (at 0).
+# A workbench holds which cells are present, the degree of each (its
+# present cofaces) and the present cells by size, and one index that every
+# search engine reads (greedy search, the random collapse procedure,
+# free_faces and core erosion): the free cells by size.  In a closed family
+# a face is free exactly when it has degree 1 (a face covering its one
+# coface would give it a second), and that coface is its one present entry
+# in above.  Every move removes facets one at a time, keeping the family
+# closed after each.  A facet has degree 0, and removing it lowers degrees
+# only on the cells below it, so only they can enter the index (at degree
+# 1) or leave it (at 0).
 #
 # A collapse (t, c) with t of k vertices removes two facets in turn, c and
 # then t, so degrees fall only at sizes k and k - 1: the largest size with
-# a free face never goes up, and a greedy run counts it down.  A workbench
-# may start from a cached closed skeleton with new faces on top, as a
-# survey trial's X and its dual do (see hypertrees).
+# a free face never goes up, and a greedy run counts it down.  Ids follow
+# the mask order, so the sorted free ids of one size are the sorted free
+# masks, and a seeded draw picks the same face from either.
 
 
-class _Workbench:
-    __slots__ = ("base", "faces", "deg", "all_bits", "free")
+class _Cells:
+    """A table of cells: masks, the nonempty face masks in ascending order,
+    numbered by that order; index, mask to id; sizes, the vertex count of
+    each (a face of 256 vertices has too many subfaces to hold, so a byte
+    suffices); below[i], the ids of the nonempty codimension-one faces of
+    cell i, which must all be cells; above[i], the ids of its cofaces among
+    the cells, None until cofaces(i) makes it.  Nothing else ever changes,
+    so workbenches share tables."""
 
-    def __init__(
-        self,
-        X: SimplicialComplex,
-        masks: Optional[Collection[int]] = None,
-        skeleton: tuple[frozenset[int], dict[int, int]] = (frozenset(), {}),
-    ):
-        self.base = X  # fixes the ground set and names faces in messages
-        self.all_bits = (1 << len(X.ground_set)) - 1
-        # the faces of X, or the given masks, on top of a copy of a closed
-        # skeleton's faces and their degrees in it (none by default).  No
-        # mask but 0 is in the skeleton and each has the faces below it
-        # there or among the masks, so only the masks raise degrees.
-        new = X._masks if masks is None else masks
-        self.faces: set[int] = set(new)
-        self.faces.discard(0)
-        self.deg = deg = dict.fromkeys(self.faces, 0)
-        deg.update(skeleton[1])
-        self.faces.update(skeleton[0])
-        for m in new:
+    __slots__ = ("masks", "index", "sizes", "below", "above")
+
+    def __init__(self, masks: list[int]):
+        self.masks = masks
+        self.index = index = {m: i for i, m in enumerate(masks)}
+        self.sizes = bytes(m.bit_count() for m in masks)
+        self.below: list[tuple[int, ...]] = []
+        for m in masks:
+            ids = []
             if m & (m - 1):
                 rest = m
                 while rest:
                     b = rest & -rest
                     rest ^= b
-                    deg[m ^ b] += 1
-        # face size -> free faces
-        self.free: list[set[int]] = [set() for _ in range(self.all_bits.bit_length() + 1)]
-        for m in self.faces:
-            if deg[m] == 1:
-                self.free[m.bit_count()].add(m)
+                    ids.append(index[m ^ b])
+            self.below.append(tuple(ids))
+        # a search asks for the cofaces of the faces it takes, few of all,
+        # so above is filled as asked: eagerly it would double the table
+        self.above: list[Optional[tuple[int, ...]]] = [None] * len(masks)
+
+    def cofaces(self, i: int) -> tuple[int, ...]:
+        """above[i], made on first need."""
+        up = self.above[i]
+        if up is None:
+            m, get = self.masks[i], self.index.get
+            ids = []
+            rest = ~m & (1 << self.masks[-1].bit_length()) - 1  # no cell has a higher vertex
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                j = get(m | b)
+                if j is not None:
+                    ids.append(j)
+            up = self.above[i] = tuple(ids)
+        return up
+
+
+class _Workbench:
+    __slots__ = ("cells", "ground", "present", "deg", "free", "count")
+
+    def __init__(self, X: SimplicialComplex, masks: Optional[Collection[int]] = None):
+        """Every nonempty face of X, or of the closed family masks over the
+        ground set of X, as a present cell."""
+        cells = _Cells(sorted(m for m in (X._masks if masks is None else masks) if m))
+        self._setup(X.ground_set, cells, bytearray(b"\1") * len(cells.masks))
+
+    @classmethod
+    def _of_cells(cls, ground: frozenset[int], cells: _Cells, present: bytearray) -> "_Workbench":
+        """A workbench over a table with the given present cells, a closed
+        family."""
+        wb = cls.__new__(cls)
+        wb._setup(ground, cells, present)
+        return wb
+
+    def _setup(self, ground: frozenset[int], cells: _Cells, present: bytearray) -> None:
+        self.cells, self.ground, self.present = cells, ground, present
+        self.deg = deg = [0] * len(present)
+        for ids in compress(cells.below, present):
+            for j in ids:
+                deg[j] += 1
+        self.free: list[set[int]] = [set() for _ in range(len(ground) + 1)]
+        self.count = [0] * (len(ground) + 1)  # present cells by size
+        sizes = cells.sizes
+        for i in compress(range(len(present)), present):
+            self.count[sizes[i]] += 1
+            if deg[i] == 1:
+                self.free[sizes[i]].add(i)
 
     def copy(self) -> "_Workbench":
         """An independent workbench in the same state."""
         new = _Workbench.__new__(_Workbench)
-        new.base, new.all_bits = self.base, self.all_bits
-        new.faces = set(self.faces)
-        new.deg = dict(self.deg)
+        new.cells, new.ground = self.cells, self.ground
+        new.present = self.present[:]
+        new.deg = self.deg[:]
         new.free = [set(ts) for ts in self.free]
+        new.count = self.count[:]
         return new
 
-    def _remove(self, m: int) -> None:
-        """Remove the facet m: each codimension-one face of it loses one
-        degree, entering the index as it falls to 1 and leaving it at 0."""
-        self.faces.discard(m)
-        free = self.free[m.bit_count() - 1]
-        deg = self.deg
-        rest = m
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            sub = m ^ b
-            if sub:
-                k = deg[sub] - 1
-                deg[sub] = k
+    def with_cells(self, ids: list[int]) -> "_Workbench":
+        """A copy with the absent cells ids added, each with every cell below
+        it present and no coface present, as in a closed family."""
+        new = self.copy()
+        present, deg, free, count = new.present, new.deg, new.free, new.count
+        below, sizes = self.cells.below, self.cells.sizes
+        for i in ids:
+            present[i] = 1
+            count[sizes[i]] += 1
+            ts = free[sizes[i] - 1]
+            for j in below[i]:
+                k = deg[j] + 1
+                deg[j] = k
                 if k == 1:
-                    free.add(sub)
-                elif not k:
-                    free.discard(sub)
+                    ts.add(j)
+                elif k == 2:
+                    ts.discard(j)
+        return new
 
-    def unique_coface(self, m: int) -> int:
-        rest = self.all_bits & ~m
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if (m | b) in self.faces:
-                return m | b
-        raise StepError(f"face {self.base.face_of(m)} has no coface")
+    def _remove(self, i: int) -> None:
+        """Remove the facet i: each cell below it loses one degree, entering
+        the index as it falls to 1 and leaving it at 0."""
+        cells = self.cells
+        self.present[i] = 0
+        size = cells.sizes[i]
+        self.count[size] -= 1
+        free = self.free[size - 1]
+        deg = self.deg
+        for j in cells.below[i]:
+            k = deg[j] - 1
+            deg[j] = k
+            if k == 1:
+                free.add(j)
+            elif not k:
+                free.discard(j)
+
+    def coface(self, t: int) -> int:
+        """The one present coface of the free cell t."""
+        present = self.present
+        for c in self.cells.cofaces(t):
+            if present[c]:
+                return c
+        m = self.cells.masks[t]
+        face = tuple(v for i, v in enumerate(sorted(self.ground)) if m >> i & 1)
+        raise StepError(f"face {face} has no coface")
 
     def collapse(self, t: int, c: int) -> None:
         self._remove(c)
         self._remove(t)
 
+    def top_size(self) -> int:
+        """The largest size of a present cell; 0 with none."""
+        return max((s for s, k in enumerate(self.count) if k), default=0)
+
     def is_single_vertex(self) -> bool:
-        return len(self.faces) == 1 and next(iter(self.faces)).bit_count() == 1
+        return self.count[1] == 1 and sum(self.count) == 1
+
+    def masks(self) -> list[int]:
+        """The present cells' masks, ascending."""
+        return list(compress(self.cells.masks, self.present))
 
     def to_complex(self) -> SimplicialComplex:
-        masks = (self.faces | {0}) if self.faces else ()
-        return SimplicialComplex._from_masks(self.base.ground_set, masks)
+        masks = self.masks()
+        return SimplicialComplex._from_masks(self.ground, [0, *masks] if masks else ())
 
 
 # -- step check --------------------------------------------------------
@@ -316,11 +395,11 @@ def free_faces(X: SimplicialComplex, allow_trivial: bool = False) -> list[StepPa
     vertex yields the pair (empty face, vertex).
     """
     wb = _Workbench(X)
-    face = X.face_of
-    free = sorted(t for ts in wb.free for t in ts)
-    pairs = [StepPair(face(t), face(wb.unique_coface(t)), COLLAPSE) for t in free]
+    face, masks = X.face_of, wb.cells.masks
+    free = sorted(t for ts in wb.free for t in ts)  # ids ascend with masks
+    pairs = [StepPair(face(masks[t]), face(masks[wb.coface(t)]), COLLAPSE) for t in free]
     if allow_trivial and wb.is_single_vertex():
-        pairs.append(StepPair(EMPTY_FACE, face(next(iter(wb.faces))), COLLAPSE))
+        pairs.append(StepPair(EMPTY_FACE, face(wb.masks()[0]), COLLAPSE))
     return pairs
 
 
@@ -370,45 +449,56 @@ def core_erosion(X: SimplicialComplex) -> tuple[SimplicialComplex, bool]:
     if d < 1:
         raise InputError("erosion needs a complex of dimension at least 1")
     wb = _Workbench(X)
-    ridges = wb.free[d]  # mask size d: the (d-1)-faces
+    masks, index, below, deg = wb.cells.masks, wb.cells.index, wb.cells.below, wb.deg
+    # The top core is the same for every order, but the faces left below it
+    # are not.  The ridges, the free (d-1)-faces, are taken in the order a
+    # set of their masks pops them, filled in the order of a set of the
+    # faces of X and updated after each collapse as the free index is, so
+    # the residue is the one test_core_erosion_residues_pinned pins.
+    faces = set(X._masks)
+    faces.discard(0)
+    ridges = {m for m in faces if m.bit_count() == d and deg[index[m]] == 1}
     while ridges:
-        # the top core is the same for every order; the collapse files the
-        # ridges of the coface it leaves free in this same set
-        t = ridges.pop()
-        wb.collapse(t, wb.unique_coface(t))
-    return wb.to_complex(), all(m.bit_count() <= d for m in wb.faces)
+        t = index[ridges.pop()]
+        c = wb.coface(t)
+        wb.collapse(t, c)
+        for j in below[c]:
+            if deg[j] == 1:
+                ridges.add(masks[j])
+            elif not deg[j]:
+                ridges.discard(masks[j])
+    return wb.to_complex(), not wb.count[d + 1]
 
 
 def _greedy_collapse(wb: _Workbench, rng: Random) -> list[tuple[int, int]]:
     """Randomized greedy collapses, a uniform free pair of top coface each,
-    until a single vertex or no free pair is left; the steps taken.
+    until a single vertex or no free pair is left; the steps taken, as
+    masks.
 
     The top free size only goes down, so one counter tracks it: collapsing
     (t, c) with t of k vertices lowers degrees only on the faces of c, of
-    size k, and on those of t, of size k - 1, so no larger face turns free."""
+    size k, and on those of t, of size k - 1, so no larger face turns free.
+    rng.choice(seq) draws seq[rng.randrange(len(seq))], from the same
+    generator state."""
     steps: list[tuple[int, int]] = []
-    faces = wb.faces
+    masks, above, cofaces = wb.cells.masks, wb.cells.above, wb.cells.cofaces
+    present = wb.present
     free = wb.free
     remove = wb._remove
-    randrange = rng.randrange
-    all_bits = wb.all_bits
+    choice = rng.choice
     size = len(free) - 1
     while True:
         while size and not free[size]:
             size -= 1
         if not size:
             return steps
-        top = sorted(free[size])
-        t = top[randrange(len(top))]
-        rest = all_bits ^ t  # t is free: one vertex outside it adds a face
-        b = rest & -rest
-        while t | b not in faces:
-            rest ^= b
-            b = rest & -rest
-        c = t | b
+        t = choice(sorted(free[size]))
+        for c in above[t] or cofaces(t):  # t is free: one present coface
+            if present[c]:
+                break
         remove(c)
         remove(t)
-        steps.append((t, c))
+        steps.append((masks[t], masks[c]))
 
 
 # verdicts of the collapse search
@@ -449,16 +539,16 @@ def _collapse_masks(
     - v <= 5 is ruled out by the brute force of
       test_stuck_family_search_agrees_with_brute_force at (5, 2).
     """
-    if not wb.faces:
+    top = wb.top_size()
+    if not top:
         raise InputError("collapse search needs at least one vertex")
-    top = max(m.bit_count() for m in wb.faces)
     rng = Random(rng_seed)
     for _ in range(max(1, restarts)):
         run = wb.copy()
         steps = _greedy_collapse(run, rng)
         if run.is_single_vertex():
             return FOUND, run, steps
-        if any(m.bit_count() == top for m in run.faces):
+        if run.count[top]:
             return (REFUTED if top > 1 else UNKNOWN), run, steps  # a nonempty top core
     return UNKNOWN, run, steps
 
@@ -496,18 +586,19 @@ def random_discrete_morse(
         raise InputError("the random collapse procedure needs at least one vertex")
     rng = Random(rng_seed)
     wb = _Workbench(X)
+    face, sizes = X.face_of, wb.cells.sizes
     counts = [0] * (X.dim + 1)
     pairs: list[tuple[Face, Face]] = []
-    while wb.faces:
-        pairs += [(X.face_of(t), X.face_of(c)) for t, c in _greedy_collapse(wb, rng)]
+    while any(wb.count):
+        pairs += [(face(t), face(c)) for t, c in _greedy_collapse(wb, rng)]
         if wb.is_single_vertex():
             counts[0] += 1
-            wb._remove(next(iter(wb.faces)))
+            wb._remove(wb.present.index(1))
         else:
-            size = max(m.bit_count() for m in wb.faces)
-            top = sorted(m for m in wb.faces if m.bit_count() == size)
+            size = wb.top_size()
+            top = [i for i, p in enumerate(wb.present) if p and sizes[i] == size]
             victim = top[rng.randrange(len(top))]
-            counts[victim.bit_count() - 1] += 1
+            counts[size - 1] += 1
             wb._remove(victim)
     return MorseVector(tuple(counts)), Matching(frozenset(pairs))
 

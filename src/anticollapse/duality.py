@@ -106,19 +106,26 @@ def _transport(
     return transported
 
 
+def _dual_workbench(X: SimplicialComplex) -> Optional[_Workbench]:
+    """A workbench of the dual's faces with the ground set of X, or None when
+    X is the simplex and its dual void."""
+    masks = _dual_masks(X)
+    return _Workbench(X, masks) if masks else None
+
+
 def _dual_collapse(
-    X: SimplicialComplex, dual_wb: _Workbench, rng_seed: int, restarts: int
-) -> tuple[str, _Workbench, list[tuple[int, int]]]:
-    """Whether the dual of X collapses, searched on dual_wb, a workbench of
-    the dual's faces with X as its base, which has the same ground set: face
-    names and to_complex are those of the dual, and no dual complex is made.
-    Returns the verdict of the search with its end workbench and mask
-    steps, FOUND with the void workbench and no step for the full simplex,
-    and UNKNOWN when the dual carries no vertex.
+    dual_wb: Optional[_Workbench], rng_seed: int, restarts: int
+) -> tuple[str, Optional[_Workbench], list[tuple[int, int]]]:
+    """Whether the dual of a complex X collapses, searched on dual_wb, a
+    workbench of the dual's faces over the ground set of X, or None when X
+    is the simplex: no dual complex is made.  Returns the verdict of the
+    search with its end workbench and mask steps, FOUND with no workbench
+    and no step for the simplex, whose void dual expands to it, and UNKNOWN
+    when the dual carries no vertex.
     """
-    if X.is_simplex():
-        return FOUND, dual_wb, []
-    if not dual_wb.faces:
+    if dual_wb is None:
+        return FOUND, None, []
+    if not any(dual_wb.count):
         return UNKNOWN, dual_wb, []  # dual carries no vertex, nothing can collapse
     return _collapse_masks(dual_wb, rng_seed, restarts)
 
@@ -135,10 +142,10 @@ def is_anticollapsible(
     """
     if not len(X):
         raise InputError("expansion search needs a nonvoid complex")
-    verdict, end, steps = _dual_collapse(X, _Workbench(X, _dual_masks(X)), rng_seed, restarts)
+    verdict, end, steps = _dual_collapse(_dual_workbench(X), rng_seed, restarts)
     if verdict != FOUND:
         return None
-    return _transport(X, steps, end.to_complex()._masks)
+    return _transport(X, steps, () if end is None else end.to_complex()._masks)
 
 
 def check_alexander_duality(X: SimplicialComplex, field: int | str = "Q") -> bool:

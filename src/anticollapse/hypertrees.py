@@ -15,27 +15,31 @@ Classification only asks whether a complex and its dual collapse, so it
 runs the collapse searches without building any certificate or dual
 complex; callers that want one use search_collapse or is_anticollapsible.
 
-A survey trial rebuilds nothing that depends on (n, d) alone: the
-candidates' boundary columns and the complete skeletons under X and under
-its dual are made once and copied.  A set is a face of the dual exactly
-when its complement is not a face of X, so the dual of the complete
-(d-1)-skeleton with the top set T is the complete (n-d-3)-skeleton with
-the complements of the d-faces outside T.
+A survey trial rebuilds nothing that depends on (n, d) alone.  The
+candidates' boundary columns are made once per (n, d), and one collapse
+workbench per (n, k) holds the complete k-skeleton with every (k+1)-face
+as an absent cell: a trial copies it and adds its tops, for X with
+k = d - 1 and for its dual with k = n - d - 3.  A set is a face of the
+dual exactly when its complement is not a face of X, so the dual of the
+complete (d-1)-skeleton with the top set T is the complete
+(n-d-3)-skeleton with the complements of the d-faces outside T.  A trial
+makes no SimplicialComplex: its report builds one from the tops when its
+complex is first read.
 """
 from __future__ import annotations
 
 import csv
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb, prod
 from random import Random
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .collapse import FOUND, REFUTED, UNKNOWN, _Workbench, _collapse_masks
+from .collapse import FOUND, REFUTED, UNKNOWN, _Cells, _Workbench, _collapse_masks
 from .complexes import SimplicialComplex, check_face_count
-from .duality import _check_dual_size, _dual_collapse, _dual_masks
+from .duality import _check_dual_size, _dual_collapse, _dual_workbench
 from .errors import InputError, SizeError
 from .homology import (
     IncrementalRank,
@@ -65,22 +69,21 @@ def _skeleton(n: int, k: int) -> tuple[tuple[int, ...], dict[int, int]]:
 
 
 @lru_cache(maxsize=8)
-def _skeleton_cells(n: int, k: int) -> tuple[frozenset[int], dict[int, int]]:
-    """The nonempty faces of the complete k-skeleton on {1..n} and their
-    coface degrees in it, a workbench's skeleton: a face of s vertices lies
-    in the n - s faces of s + 1 vertices above it when s <= k, and in none
-    at the top size k + 1.  Made once per (n, k) and shared: callers must
-    not change them."""
-    deg: dict[int, int] = {}
-    for j in range(k + 1):
-        deg.update(dict.fromkeys(complete_skeleton(n, j), n - j - 1 if j < k else 0))
-    return frozenset(deg), deg
+def _skeleton_bench(n: int, k: int) -> _Workbench:
+    """A workbench whose table holds the complete k-skeleton on {1..n},
+    present, and every (k+1)-face as an absent cell, the candidate tops
+    that with_cells adds.  Made once per (n, k) and shared: callers must
+    not change it."""
+    cells = _Cells(sorted(m for j in range(k + 2) for m in complete_skeleton(n, j)))
+    present = bytearray(s <= k + 1 for s in cells.sizes)
+    return _Workbench._of_cells(frozenset(range(1, n + 1)), cells, present)
 
 
 def _with_full_skeleton(n: int, d: int, tops: Iterable[int]) -> SimplicialComplex:
     """The complete (d-1)-skeleton on {1..n} together with the top masks."""
     faces = {0, *tops}
-    faces.update(_skeleton_cells(n, d - 1)[0])
+    for j in range(d):
+        faces.update(_skeleton(n, j)[0])
     return SimplicialComplex._from_masks(range(1, n + 1), faces)
 
 
@@ -158,11 +161,32 @@ def spanning_torsion_order(X: SimplicialComplex, d: int) -> int:
     return prod(factors) if len(factors) == len(top) else 0
 
 
+class _ReadMade:
+    """A dataclass field that may be given a function of no arguments in
+    place of its value: the function makes the value on first read."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, obj: object, owner: Optional[type] = None):
+        if obj is None:
+            raise AttributeError(self.slot)  # the field has no default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj: object, value: object) -> None:
+        obj.__dict__[self.slot] = value
+
+
 @dataclass
 class HypertreeReport:
-    """Classification of one candidate hypertree."""
+    """Classification of one candidate hypertree.  The complex may be given
+    as a function that makes it, so a survey trial builds none unless its
+    report's complex is read."""
 
-    complex: SimplicialComplex
+    complex: SimplicialComplex = _ReadMade()
     facet_count: int
     q_acyclic: bool
     torsion_order: int
@@ -222,26 +246,26 @@ def is_hypertree(
     else:
         profile = homology(X)
         torsion = 0 if any(profile.betti) else prod(profile.torsion[d - 1])
-    wb, dual_wb = _Workbench(X), _Workbench(X, _dual_masks(X))
-    return _classify(X, d, torsion, rng_seed, restarts, wb, dual_wb)
+    return _classify(X, d, torsion, rng_seed, restarts, _Workbench(X), _dual_workbench(X))
 
 
 def _classify(
-    X: SimplicialComplex,
+    X: SimplicialComplex | Callable[[], SimplicialComplex],
     d: int,
     torsion: int,
     rng_seed: int,
     restarts: int,
     wb: _Workbench,
-    dual_wb: _Workbench,
+    dual_wb: Optional[_Workbench],
 ) -> HypertreeReport:
-    """The report of is_hypertree on a d-complex X, given |H_(d-1)(X)|, or
-    0 when X is not rationally acyclic, and workbenches of X and its dual."""
+    """The report of is_hypertree on a d-complex X, or a function making X,
+    given |H_(d-1)(X)|, or 0 when X is not rationally acyclic, and
+    workbenches of X and of its dual, None when X is the simplex."""
     collapsible = _collapse_masks(wb, rng_seed, restarts)[0]
-    anticollapsible = _dual_collapse(X, dual_wb, _derive_seed(rng_seed, 1), restarts)[0]
+    anticollapsible = _dual_collapse(dual_wb, _derive_seed(rng_seed, 1), restarts)[0]
     return HypertreeReport(
         complex=X,
-        facet_count=X.n_faces(d),
+        facet_count=wb.count[d + 1],
         q_acyclic=torsion != 0,
         torsion_order=torsion,
         collapsible=collapsible,
@@ -298,15 +322,16 @@ def survey(
     for t in range(trials):
         seed = _derive_seed(rng_seed, t)
         tops, torsion = _kruskal(n, d, seed)
-        X = _with_full_skeleton(n, d, tops)
-        yield seed, _classify(X, d, torsion, seed, 64, *_spanning_workbenches(X, d, tops))
+        X = partial(_with_full_skeleton, n, d, tops)  # made when read
+        yield seed, _classify(X, d, torsion, seed, 64, *_spanning_workbenches(n, d, tops))
 
 
 def _spanning_workbenches(
-    X: SimplicialComplex, d: int, tops: list[int]
-) -> tuple[_Workbench, _Workbench]:
+    n: int, d: int, tops: list[int]
+) -> tuple[_Workbench, Optional[_Workbench]]:
     """Workbenches of X, the complete (d-1)-skeleton on {1..n} with the top
-    masks, and of its dual, built on cached skeletons.
+    masks, and of its dual, None when d = n - 1 makes X the simplex, each
+    the cached skeleton workbench with its tops added.
 
     A set S is a face of the dual exactly when its complement is not a face
     of X.  The complement of S has n - |S| vertices and is a face of X when
@@ -314,13 +339,17 @@ def _spanning_workbenches(
     dual is the complete (n-d-3)-skeleton, every S of at most n - d - 2
     vertices, with the complements of the d-faces that are not tops.
     """
-    n = len(X.ground_set)
-    wb = _Workbench(X, tops, _skeleton_cells(n, d - 1))
-    _check_dual_size(n)
+    _check_dual_size(n)  # _kruskal checked the size of X's table
+    bench = _skeleton_bench(n, d - 1)
+    index = bench.cells.index
+    wb = bench.with_cells([index[m] for m in tops])
+    if d == n - 1:
+        return wb, None
     full = (1 << n) - 1
     kept = set(tops)
-    dual_tops = [full ^ m for m in _skeleton(n, d)[0] if m not in kept]
-    return wb, _Workbench(X, dual_tops, _skeleton_cells(n, n - d - 3))
+    bench = _skeleton_bench(n, n - d - 3)
+    index = bench.cells.index
+    return wb, bench.with_cells([index[full ^ m] for m in _skeleton(n, d)[0] if m not in kept])
 
 
 def run_survey(

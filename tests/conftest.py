@@ -209,10 +209,20 @@ def small_search_complexes() -> list[SimplicialComplex]:
     return [X for X in cases if X.support and sum(len(f) > 1 for f in X.faces) <= 25]
 
 
+def mask_view(wb) -> tuple[set[int], dict[int, int], list[set[int]]]:
+    """A collapse workbench read through its masks: the present faces, the
+    degree of each, and the free faces by size."""
+    masks = wb.cells.masks
+    present = [i for i, p in enumerate(wb.present) if p]
+    faces = {masks[i] for i in present}
+    deg = {masks[i]: wb.deg[i] for i in present}
+    return faces, deg, [{masks[i] for i in ts} for ts in wb.free]
+
+
 def top_free_faces(wb) -> list[int]:
     """The free faces of the largest size that has any in a collapse
-    workbench, sorted: the list a greedy step draws from."""
-    for ts in reversed(wb.free):
+    workbench, as sorted masks: the list a greedy step draws from."""
+    for ts in reversed(mask_view(wb)[2]):
         if ts:
             return sorted(ts)
     return []

@@ -15,6 +15,9 @@ from anticollapse import collapse
 from anticollapse.collapse import (
     ANTICOLLAPSE,
     COLLAPSE,
+    FOUND,
+    REFUTED,
+    UNKNOWN,
     Certificate,
     Matching,
     StepPair,
@@ -27,9 +30,12 @@ from anticollapse.collapse import (
     replay,
     search_collapse,
     verify_matching_acyclic,
+    _collapse_masks,
+    _Workbench,
 )
 from anticollapse.complexes import (
     SimplicialComplex,
+    digest,
     from_facets,
     link_and_del,
 )
@@ -42,6 +48,7 @@ from anticollapse.hypertrees import _derive_seed, is_hypertree
 from conftest import (
     all_complexes_on,
     collapses_by_definition,
+    mask_view,
     pure_complexes,
     random_complex,
     rp2,
@@ -370,6 +377,27 @@ def test_search_restarts_when_the_top_erodes():
     assert runs == [8]
 
 
+def test_collapse_search_verdicts():
+    # one complex per rule of _collapse_masks: two lone vertices stop at
+    # once with a face of the starting top size 1, which no core refutes
+    # and no restart removes; the triangle beside a 1-cycle erodes its top
+    # and stops below it, in every restart; the bowtie collapses; C38_3
+    # keeps a top core.  The workbench is left as it was.
+    cases = [
+        (from_facets([(1,), (2,)]), UNKNOWN, 1),
+        (from_facets([(1, 2, 3), (3, 4), (4, 5), (5, 6), (4, 6)]), UNKNOWN, 8),
+        (from_facets([(1, 2, 3), (3, 4, 5)]), FOUND, 1),
+        (catalog("C38_3").complex, REFUTED, 1),
+    ]
+    for X, verdict, runs in cases:
+        wb = _Workbench(X)
+        before = mask_view(wb)
+        with counted_search() as counted:
+            assert _collapse_masks(wb, 3, restarts=8)[0] == verdict
+        assert counted == [runs]
+        assert mask_view(wb) == before
+
+
 def test_classification_runs_the_search_of_search_collapse():
     # is_hypertree decides both flags with the searches of search_collapse
     # on X and of is_anticollapsible on its dual, run by run
@@ -425,6 +453,20 @@ def test_small_searches_pinned():
             row.append((r.collapsible, r.anticollapsible, r.d_collapsible, r.free_face_count))
         lines.append(repr(row))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SMALL_SEARCH_SHA256
+
+
+# sha256 of the digests of core_erosion's residues on small_search_complexes(),
+# pure_complexes() and 200 seeded random complexes on up to 7 vertices, and on
+# their duals: the faces left below a top core depend on the erosion order,
+# so this pins the order too
+CORE_RESIDUE_SHA256 = "8a45d696a466a4f249bc72a128ece90f7267d2f4e72f2783e903f794d865b478"
+
+
+def test_core_erosion_residues_pinned():
+    rng = Random(11)
+    cases = small_search_complexes() + pure_complexes() + [random_complex(rng, 7) for _ in range(200)]
+    lines = [digest(core_erosion(Y)[0]) for X in cases for Y in (X, alexander_dual(X)) if Y.dim >= 1]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CORE_RESIDUE_SHA256
 
 
 def test_rdm_single_vertex():

@@ -27,19 +27,27 @@ from anticollapse.constructions import _witness, theorem2_construct
 from anticollapse.duality import alexander_dual
 from anticollapse.hypertrees import is_hypertree, kruskal_generate
 
-from conftest import pure_complexes, random_complex, rp2, small_search_complexes, top_free_faces
+from conftest import (
+    mask_view,
+    pure_complexes,
+    random_complex,
+    rp2,
+    small_search_complexes,
+    top_free_faces,
+)
 
 
 def rescan_index(wb: _Workbench) -> dict[int, int]:
-    """Every free face and its coface, from the face set alone: a face is
-    free when exactly one face covers it and nothing covers that face."""
+    """Every free face and its coface, from the present faces alone: a face
+    is free when exactly one face covers it and nothing covers that face."""
+    faces = mask_view(wb)[0]
 
     def covers(m: int) -> list[int]:
-        n = wb.all_bits.bit_length()
-        return [m | (1 << i) for i in range(n) if not m >> i & 1 and m | (1 << i) in wb.faces]
+        n = len(wb.ground)
+        return [m | (1 << i) for i in range(n) if not m >> i & 1 and m | (1 << i) in faces]
 
     index = {}
-    for t in wb.faces:
+    for t in faces:
         up = covers(t)
         if len(up) == 1 and not covers(up[0]):
             index[t] = up[0]
@@ -48,7 +56,7 @@ def rescan_index(wb: _Workbench) -> dict[int, int]:
 
 def by_size(wb: _Workbench, index: dict[int, int]) -> list[set[int]]:
     """The free faces of a rescanned index as the workbench files them."""
-    free: list[set[int]] = [set() for _ in range(wb.all_bits.bit_length() + 1)]
+    free: list[set[int]] = [set() for _ in range(len(wb.ground) + 1)]
     for t in index:
         free[t.bit_count()].add(t)
     return free
@@ -73,7 +81,7 @@ def checked_moves():
     def checked(self, m):
         remove(self, m)
         index = rescan_index(self)
-        assert self.free == by_size(self, index)
+        assert mask_view(self)[2] == by_size(self, index)
         assert top_free_faces(self) == [t for t, _ in top_pairs(index)]
         count[0] += 1
 
@@ -94,7 +102,7 @@ def test_index_matches_rescan_when_built():
     for X in [random_complex(rng, 7) for _ in range(60)] + pure_complexes():
         wb = _Workbench(X)
         index = rescan_index(wb)
-        assert wb.free == by_size(wb, index)
+        assert mask_view(wb)[2] == by_size(wb, index)
         assert top_free_faces(wb) == [t for t, _ in top_pairs(index)]
         face = X.face_of
         assert [(s.free, s.coface) for s in free_faces(X)] == [
@@ -143,15 +151,16 @@ def reference_greedy(wb: _Workbench, rng: Random) -> list[tuple[int, int]]:
     """The greedy run through the workbench's methods: a seeded draw from
     the sorted top free faces at every step, until a lone vertex or no free
     face is left."""
+    masks, index = wb.cells.masks, wb.cells.index
     steps = []
     while not wb.is_single_vertex():
         faces = top_free_faces(wb)
         if not faces:
             break
-        t = faces[rng.randrange(len(faces))]
-        c = wb.unique_coface(t)
+        t = index[faces[rng.randrange(len(faces))]]
+        c = wb.coface(t)
         wb.collapse(t, c)
-        steps.append((t, c))
+        steps.append((masks[t], masks[c]))
     return steps
 
 
@@ -166,11 +175,12 @@ def test_greedy_draws_as_the_reference():
         rng, ref_rng = Random(seed), Random(seed)
         for _ in range(3):  # again from where the last run stopped
             assert _greedy_collapse(wb, rng) == reference_greedy(ref, ref_rng)
-            assert wb.faces == ref.faces
+            faces = mask_view(wb)[0]
+            assert faces == mask_view(ref)[0]
             assert rng.getstate() == ref_rng.getstate()
-            if wb.faces:
-                wb._remove(max(wb.faces))
-                ref._remove(max(ref.faces))
+            if faces:
+                wb._remove(wb.cells.index[max(faces)])
+                ref._remove(ref.cells.index[max(faces)])
 
 
 def test_core_erosion_on_the_index():
@@ -183,7 +193,7 @@ def test_core_erosion_on_the_index():
         for X in cases:
             if X.dim >= 1:
                 residue = core_erosion(X)[0]
-                assert not _Workbench(residue).free[X.dim]
+                assert not mask_view(_Workbench(residue))[2][X.dim]
     assert count[0] > 600
 
 

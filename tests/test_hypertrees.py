@@ -14,10 +14,11 @@ import pytest
 from anticollapse.collapse import _Workbench, core_erosion, search_collapse
 from anticollapse.complexes import (
     SimplicialComplex,
+    digest,
     from_facets,
     relabeled,
 )
-from anticollapse.duality import _dual_masks, alexander_dual, is_anticollapsible
+from anticollapse.duality import _dual_workbench, alexander_dual, is_anticollapsible
 from anticollapse.errors import InputError, SizeError
 from anticollapse.homology import (
     IncrementalRank,
@@ -42,7 +43,14 @@ from anticollapse.hypertrees import (
     survey,
 )
 
-from conftest import adds_top_cycle, connected_components, fraction_rank, rp2, torsion_order
+from conftest import (
+    adds_top_cycle,
+    connected_components,
+    fraction_rank,
+    mask_view,
+    rp2,
+    torsion_order,
+)
 
 
 def test_generator_validates_arguments():
@@ -177,20 +185,23 @@ def test_cached_kruskal_columns_are_never_changed():
 
 
 def test_spanning_workbenches_match_the_general_build():
-    # the survey's workbenches, on cached skeletons with the dual taken as a
-    # skeleton plus complements, against workbenches of the faces of X and
-    # of its dual; d = n - 1 makes X the simplex and its dual void, and
-    # d = n - 2 gives the dual vertices as tops
+    # the survey's workbenches, cached skeleton workbenches with the tops
+    # added and the dual taken as a skeleton plus complements, against
+    # workbenches of the faces of X and of its dual; d = n - 1 makes X the
+    # simplex and its dual void, and d = n - 2 gives the dual vertices as
+    # tops
     for n in range(2, 10):
         for d in range(1, n):
             for seed in range(5):
                 tops = _kruskal(n, d, seed)[0]
                 X = kruskal_generate(n, d, seed)
-                built = _spanning_workbenches(X, d, tops)
-                for got, want in zip(built, (_Workbench(X), _Workbench(X, _dual_masks(X)))):
-                    assert got.faces == want.faces
-                    assert got.deg == want.deg
-                    assert got.free == want.free
+                built = _spanning_workbenches(n, d, tops)
+                want = (_Workbench(X), _dual_workbench(X))
+                assert (built[1] is None) == (want[1] is None) == (d == n - 1)
+                for got, expected in zip(built, want):
+                    if expected is not None:
+                        assert mask_view(got) == mask_view(expected)
+                        assert got.count == expected.count
 
 
 def test_spanning_torsion_matches_normal_form():
@@ -329,6 +340,26 @@ def test_survey_csv_is_closed_when_a_trial_raises(tmp_path, monkeypatch):
     assert opened[0].closed
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 2 and lines[0].startswith("seed,facets")
+
+
+def test_survey_builds_a_complex_only_when_read(monkeypatch):
+    # a trial's report makes its complex from the tops on first read, and
+    # it is the complex kruskal_generate makes for the trial's seed
+    built = []
+    setup = SimplicialComplex._setup
+
+    def recording_setup(self, *args):
+        built.append(self)
+        setup(self, *args)
+
+    monkeypatch.setattr(SimplicialComplex, "_setup", recording_setup)
+    for n, d, trials, seed in SURVEY_CSV_SHA256:
+        reports = list(survey(n, d, min(trials, 20), seed))
+        assert not built
+        for trial_seed, report in reports:
+            assert digest(report.complex) == digest(kruskal_generate(n, d, trial_seed))
+            assert report.complex is report.complex
+        built.clear()
 
 
 def test_survey_small_vertex_counts_always_collapsible():
