@@ -151,24 +151,23 @@ class MorseVector:
 #
 # The searches run on a workbench of cells: the nonempty faces in a table
 # (_Cells) that numbers them in ascending mask order and lists, for each,
-# the ids of its codimension-one faces (below) and, once asked, of its
-# cofaces in the table (above).  The empty face is never a cell.  A table
-# never changes otherwise, so many workbenches share one: a complex's
-# table is built with its workbench, and a survey trial's comes from a
-# cache per (n, k) that holds the complete k-skeleton with every
-# (k+1)-face as an absent cell (see hypertrees).  Ids only index the
-# table; steps, faces and messages are masks.
+# the ids of its codimension-one faces (below).  The empty face is never a
+# cell.  A table never changes once built, so many workbenches share one: a
+# complex's table is built with its workbench, and a survey trial's comes
+# from a cache per (n, k) that holds the complete k-skeleton with every
+# (k+1)-face as an absent cell (see hypertrees).  Ids only index the table;
+# steps, faces and messages are masks.
 #
-# A workbench holds which cells are present, the degree of each (its
-# present cofaces) and the present cells by size, and one index that every
-# search engine reads (greedy search, the random collapse procedure,
-# free_faces and core erosion): the free cells by size.  In a closed family
-# a face is free exactly when it has degree 1 (a face covering its one
-# coface would give it a second), and that coface is its one present entry
-# in above.  Every move removes facets one at a time, keeping the family
-# closed after each.  A facet has degree 0, and removing it lowers degrees
-# only on the cells below it, so only they can enter the index (at degree
-# 1) or leave it (at 0).
+# A workbench holds which cells are present, for each cell its degree (its
+# present cofaces) and up, the XOR of those cofaces' ids, the present cells
+# by size, and one index that every search engine reads (greedy search, the
+# random collapse procedure, free_faces and core erosion): the free cells
+# by size.  In a closed family a face is free exactly when it has degree 1
+# (a face covering its one coface would give it a second), and then up is
+# that coface.  Every move removes facets one at a time, keeping the family
+# closed after each.  A facet has degree 0, and removing it changes degree
+# and up only on the cells below it, so only they can enter the index (at
+# degree 1) or leave it (at 0).
 #
 # A collapse (t, c) with t of k vertices removes two facets in turn, c and
 # then t, so degrees fall only at sizes k and k - 1: the largest size with
@@ -182,11 +181,10 @@ class _Cells:
     numbered by that order; index, mask to id; sizes, the vertex count of
     each (a face of 256 vertices has too many subfaces to hold, so a byte
     suffices); below[i], the ids of the nonempty codimension-one faces of
-    cell i, which must all be cells; above[i], the ids of its cofaces among
-    the cells, None until cofaces(i) makes it.  Nothing else ever changes,
-    so workbenches share tables."""
+    cell i, which must all be cells.  It never changes once built, so
+    workbenches share tables."""
 
-    __slots__ = ("masks", "index", "sizes", "below", "above")
+    __slots__ = ("masks", "index", "sizes", "below")
 
     def __init__(self, masks: list[int]):
         self.masks = masks
@@ -202,29 +200,10 @@ class _Cells:
                     rest ^= b
                     ids.append(index[m ^ b])
             self.below.append(tuple(ids))
-        # a search asks for the cofaces of the faces it takes, few of all,
-        # so above is filled as asked: eagerly it would double the table
-        self.above: list[Optional[tuple[int, ...]]] = [None] * len(masks)
-
-    def cofaces(self, i: int) -> tuple[int, ...]:
-        """above[i], made on first need."""
-        up = self.above[i]
-        if up is None:
-            m, get = self.masks[i], self.index.get
-            ids = []
-            rest = ~m & (1 << self.masks[-1].bit_length()) - 1  # no cell has a higher vertex
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                j = get(m | b)
-                if j is not None:
-                    ids.append(j)
-            up = self.above[i] = tuple(ids)
-        return up
 
 
 class _Workbench:
-    __slots__ = ("cells", "ground", "present", "deg", "free", "count")
+    __slots__ = ("cells", "ground", "present", "deg", "up", "free", "count")
 
     def __init__(self, X: SimplicialComplex, masks: Optional[Collection[int]] = None):
         """Every nonempty face of X, or of the closed family masks over the
@@ -243,9 +222,11 @@ class _Workbench:
     def _setup(self, ground: frozenset[int], cells: _Cells, present: bytearray) -> None:
         self.cells, self.ground, self.present = cells, ground, present
         self.deg = deg = [0] * len(present)
-        for ids in compress(cells.below, present):
+        self.up = up = [0] * len(present)
+        for i, ids in compress(enumerate(cells.below), present):
             for j in ids:
                 deg[j] += 1
+                up[j] ^= i
         self.free: list[set[int]] = [set() for _ in range(len(ground) + 1)]
         self.count = [0] * (len(ground) + 1)  # present cells by size
         sizes = cells.sizes
@@ -260,6 +241,7 @@ class _Workbench:
         new.cells, new.ground = self.cells, self.ground
         new.present = self.present[:]
         new.deg = self.deg[:]
+        new.up = self.up[:]
         new.free = [set(ts) for ts in self.free]
         new.count = self.count[:]
         return new
@@ -268,7 +250,7 @@ class _Workbench:
         """A copy with the absent cells ids added, each with every cell below
         it present and no coface present, as in a closed family."""
         new = self.copy()
-        present, deg, free, count = new.present, new.deg, new.free, new.count
+        present, deg, up, free, count = new.present, new.deg, new.up, new.free, new.count
         below, sizes = self.cells.below, self.cells.sizes
         for i in ids:
             present[i] = 1
@@ -277,6 +259,7 @@ class _Workbench:
             for j in below[i]:
                 k = deg[j] + 1
                 deg[j] = k
+                up[j] ^= i
                 if k == 1:
                     ts.add(j)
                 elif k == 2:
@@ -284,17 +267,18 @@ class _Workbench:
         return new
 
     def _remove(self, i: int) -> None:
-        """Remove the facet i: each cell below it loses one degree, entering
-        the index as it falls to 1 and leaving it at 0."""
+        """Remove the facet i: each cell below it loses one degree and i from
+        its up, entering the index as it falls to 1 and leaving it at 0."""
         cells = self.cells
         self.present[i] = 0
         size = cells.sizes[i]
         self.count[size] -= 1
         free = self.free[size - 1]
-        deg = self.deg
+        deg, up = self.deg, self.up
         for j in cells.below[i]:
             k = deg[j] - 1
             deg[j] = k
+            up[j] ^= i
             if k == 1:
                 free.add(j)
             elif not k:
@@ -302,10 +286,8 @@ class _Workbench:
 
     def coface(self, t: int) -> int:
         """The one present coface of the free cell t."""
-        present = self.present
-        for c in self.cells.cofaces(t):
-            if present[c]:
-                return c
+        if self.deg[t] == 1:
+            return self.up[t]
         m = self.cells.masks[t]
         face = tuple(v for i, v in enumerate(sorted(self.ground)) if m >> i & 1)
         raise StepError(f"face {face} has no coface")
@@ -481,9 +463,7 @@ def _greedy_collapse(wb: _Workbench, rng: Random) -> list[tuple[int, int]]:
     rng.choice(seq) draws seq[rng.randrange(len(seq))], from the same
     generator state."""
     steps: list[tuple[int, int]] = []
-    masks, above, cofaces = wb.cells.masks, wb.cells.above, wb.cells.cofaces
-    present = wb.present
-    free = wb.free
+    masks, up, free = wb.cells.masks, wb.up, wb.free
     remove = wb._remove
     choice = rng.choice
     size = len(free) - 1
@@ -493,9 +473,7 @@ def _greedy_collapse(wb: _Workbench, rng: Random) -> list[tuple[int, int]]:
         if not size:
             return steps
         t = choice(sorted(free[size]))
-        for c in above[t] or cofaces(t):  # t is free: one present coface
-            if present[c]:
-                break
+        c = up[t]  # t is free: its one present coface
         remove(c)
         remove(t)
         steps.append((masks[t], masks[c]))

@@ -10,7 +10,7 @@ over hypertrees.
 
 The generator's elimination already holds the invariant factors of the
 top boundary map of what it keeps, so a survey trial takes |H_(d-1)| from
-it; is_hypertree, given any complex, computes the torsion itself.
+it; is_hypertree, given any complex, takes the torsion from its homology.
 Classification only asks whether a complex and its dual collapse, so it
 runs the collapse searches without building any certificate or dual
 complex; callers that want one use search_collapse or is_anticollapsible.
@@ -32,7 +32,7 @@ import csv
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, prod
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional
@@ -61,14 +61,6 @@ def complete_skeleton(n: int, d: int) -> list[int]:
 
 
 @lru_cache(maxsize=8)
-def _skeleton(n: int, k: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """complete_skeleton(n, k) and the row index of its masks, made once per
-    (n, k) and shared: callers must not change them."""
-    masks = tuple(complete_skeleton(n, k))
-    return masks, {m: i for i, m in enumerate(masks)}
-
-
-@lru_cache(maxsize=8)
 def _skeleton_bench(n: int, k: int) -> _Workbench:
     """A workbench whose table holds the complete k-skeleton on {1..n},
     present, and every (k+1)-face as an absent cell, the candidate tops
@@ -83,7 +75,7 @@ def _with_full_skeleton(n: int, d: int, tops: Iterable[int]) -> SimplicialComple
     """The complete (d-1)-skeleton on {1..n} together with the top masks."""
     faces = {0, *tops}
     for j in range(d):
-        faces.update(_skeleton(n, j)[0])
+        faces.update(complete_skeleton(n, j))
     return SimplicialComplex._from_masks(range(1, n + 1), faces)
 
 
@@ -135,8 +127,8 @@ def _kruskal_columns(n: int, d: int) -> tuple[tuple[int, dict[int, int]], ...]:
     """The d-faces on {1..n} in complete_skeleton order, each with its
     boundary column over the (d-1)-faces.  Made once per (n, d) and shared:
     IncrementalRank copies the columns it files, and nobody may change them."""
-    row_index = _skeleton(n, d - 1)[1]
-    return tuple((m, _mask_column(m, row_index)) for m in _skeleton(n, d)[0])
+    row_index = {m: i for i, m in enumerate(complete_skeleton(n, d - 1))}
+    return tuple((m, _mask_column(m, row_index)) for m in complete_skeleton(n, d))
 
 
 def spanning_torsion_order(X: SimplicialComplex, d: int) -> int:
@@ -148,8 +140,10 @@ def spanning_torsion_order(X: SimplicialComplex, d: int) -> int:
     the order of the torsion group (the d = 1 case is the classical reduced
     incidence matrix of a spanning tree).  The determinant is the product of
     the invariant factors, and 0 when there are fewer factors than columns.
-    Survey trials skip this second elimination: the generator hands on the
-    same product from its own (see _kruskal).
+    Neither survey trials nor is_hypertree run it: a trial takes the same
+    product from the generator's own elimination (see _kruskal), and
+    is_hypertree takes the torsion of any complex from its homology.  It is
+    kept as an elimination independent of both.
     """
     top = sorted(X._by_size.get(d + 1, ()))
     if len(top) != comb(len(X.ground_set) - 1, d):
@@ -212,11 +206,6 @@ class HypertreeReport:
         return self.collapsible == REFUTED and self.anticollapsible == REFUTED
 
 
-def _has_complete_lower_skeleton(X: SimplicialComplex, d: int) -> bool:
-    n = len(X.ground_set)
-    return all(X.n_faces(k) == comb(n, k + 1) for k in range(d))
-
-
 def is_hypertree(
     X: SimplicialComplex,
     d: int,
@@ -236,16 +225,8 @@ def is_hypertree(
         raise InputError(f"hypertrees have dimension at least 1, got {d}")
     if X.dim != d:
         raise InputError(f"expected a complex of dimension {d}, got {X.dim}")
-    n = len(X.ground_set)
-    if _has_complete_lower_skeleton(X, d) and X.n_faces(d) == comb(n - 1, d):
-        # complete lower skeleton: the boundary maps below d have the ranks
-        # of the full simplex, C(n-1, k), so only the top rank can fail.  The
-        # only cycle on the faces through the largest vertex is 0, so the
-        # square matrix on the other rows has the kernel of the full one.
-        torsion = spanning_torsion_order(X, d)
-    else:
-        profile = homology(X)
-        torsion = 0 if any(profile.betti) else prod(profile.torsion[d - 1])
+    profile = homology(X)
+    torsion = 0 if any(profile.betti) else prod(profile.torsion[d - 1])
     return _classify(X, d, torsion, rng_seed, restarts, _Workbench(X), _dual_workbench(X))
 
 
@@ -349,7 +330,8 @@ def _spanning_workbenches(
     kept = set(tops)
     bench = _skeleton_bench(n, n - d - 3)
     index = bench.cells.index
-    return wb, bench.with_cells([index[full ^ m] for m in _skeleton(n, d)[0] if m not in kept])
+    return wb, bench.with_cells([index[full ^ m] for m, _ in _kruskal_columns(n, d)
+                                 if m not in kept])
 
 
 def run_survey(
@@ -359,15 +341,19 @@ def run_survey(
     rng_seed: int,
     csv_path: Optional[str] = None,
 ) -> SurveySummary:
-    """Drive a survey, optionally writing one CSV row per trial."""
+    """Drive a survey, optionally writing one CSV row per trial.  The CSV is
+    opened once the first trial is made, so a survey refused for its
+    arguments leaves an existing file as it was."""
     summary = SurveySummary(0, [], [], [], [])
+    trials_made = survey(n, d, trials, rng_seed)
+    first = next(trials_made)
     sink = nullcontext() if csv_path is None else open(csv_path, "w", newline="", encoding="utf-8")
     with sink as handle:  # closed even when a trial raises
         writer = None if handle is None else csv.writer(handle)
         if writer is not None:
             writer.writerow(["seed", "facets", "q_acyclic", "torsion", "dcollapsible",
                              "collapsible", "anticollapsible", "free_faces"])
-        for seed, report in survey(n, d, trials, rng_seed):
+        for seed, report in chain([first], trials_made):
             summary.trials += 1
             if not report.q_acyclic or report.facet_count != comb(n - 1, d):
                 summary.invalid_seeds.append(seed)

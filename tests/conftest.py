@@ -135,6 +135,31 @@ def all_complexes_on(ground: tuple[int, ...]):
         yield SimplicialComplex(ground, faces)
 
 
+def complexes_grown_by_size(n: int) -> list[SimplicialComplex]:
+    """Every complex on {1..n} with a nonempty face, grown as down-sets one
+    face size at a time: the faces of the next size are any nonempty set of
+    the masks whose every face one size down is in the last layer.  On five
+    vertices this lists 7,579 complexes where all_complexes_on would try
+    2^31 families."""
+    ground = range(1, n + 1)
+    bits = [1 << i for i in range(n)]
+    found = []
+
+    def grow(faces: list[int], layer: list[int]) -> None:
+        found.append(SimplicialComplex._from_masks(ground, faces))
+        kept = set(layer)
+        candidates = sorted({m | b for m in layer for b in bits if not m & b
+                             and all((m | b) ^ c in kept for c in bits if (m | b) & c)})
+        for pick in range(1, 1 << len(candidates)):
+            chosen = [m for i, m in enumerate(candidates) if pick >> i & 1]
+            grow(faces + chosen, chosen)
+
+    for pick in range(1, 1 << n):
+        vertices = [b for b in bits if pick & b]
+        grow([0, *vertices], vertices)
+    return found
+
+
 def connected_components(X: SimplicialComplex) -> int:
     """Number of connected components of the support, via the 1-skeleton."""
     parent: dict[int, int] = {v: v for v in X.support}

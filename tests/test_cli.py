@@ -137,6 +137,22 @@ def test_survey_writes_csv(tmp_path, capsys):
     assert lines[0] == "seed,facets,q_acyclic,torsion,dcollapsible,collapsible,anticollapsible,free_faces"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--n", "5", "--d", "2", "--trials", "0"], ["--n", "3", "--d", "3", "--trials", "2"]],
+    ids=["no-trials", "d-too-large"],
+)
+def test_refused_survey_leaves_its_csv(args, tmp_path, capsys):
+    # a usage error is raised before the CSV is opened: an earlier result
+    # stays as it was, and no file is made where there was none
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_bytes(b"an earlier result\r\n")
+    for path in (kept, absent):
+        assert main(["survey", *args, "--seed", "1", "--out", str(path)]) == EXIT_USAGE
+    assert kept.read_bytes() == b"an earlier result\r\n"
+    assert not absent.exists()
+
+
 def test_construct_writes_witness(tmp_path, capsys):
     out_dir = tmp_path / "w"
     code = main(

@@ -25,9 +25,10 @@ from anticollapse.collapse import (
 from anticollapse.complexes import SimplicialComplex, digest, from_facets
 from anticollapse.constructions import _witness, theorem2_construct
 from anticollapse.duality import alexander_dual
-from anticollapse.hypertrees import is_hypertree, kruskal_generate
+from anticollapse.hypertrees import _kruskal, _spanning_workbenches, is_hypertree, kruskal_generate
 
 from conftest import (
+    complexes_grown_by_size,
     mask_view,
     pure_complexes,
     random_complex,
@@ -62,6 +63,13 @@ def by_size(wb: _Workbench, index: dict[int, int]) -> list[set[int]]:
     return free
 
 
+def assert_cofaces(wb: _Workbench, index: dict[int, int]) -> None:
+    """The workbench's coface of every free cell is the rescanned one."""
+    masks, ids = wb.cells.masks, wb.cells.index
+    for t, c in index.items():
+        assert masks[wb.coface(ids[t])] == c
+
+
 def top_pairs(index: dict[int, int]) -> list[tuple[int, int]]:
     """The free pairs of a rescanned index whose coface size is maximal."""
     if not index:
@@ -83,6 +91,7 @@ def checked_moves():
         index = rescan_index(self)
         assert mask_view(self)[2] == by_size(self, index)
         assert top_free_faces(self) == [t for t, _ in top_pairs(index)]
+        assert_cofaces(self, index)
         count[0] += 1
 
     with mock.patch.object(_Workbench, "_remove", checked):
@@ -97,16 +106,35 @@ def test_rescan_oracle_on_small_cases():
     assert rescan_index(_Workbench(rp2())) == {}
 
 
+# The tests that check cofaces come before any greedy run: a greedy run that
+# takes a wrong coface may never stop.
+
+
 def test_index_matches_rescan_when_built():
     rng = Random(31)
-    for X in [random_complex(rng, 7) for _ in range(60)] + pure_complexes():
+    cases = [random_complex(rng, 7) for _ in range(60)] + pure_complexes()
+    for X in cases + complexes_grown_by_size(5):
         wb = _Workbench(X)
         index = rescan_index(wb)
         assert mask_view(wb)[2] == by_size(wb, index)
         assert top_free_faces(wb) == [t for t, _ in top_pairs(index)]
+        assert_cofaces(wb, index)
         face = X.face_of
         assert [(s.free, s.coface) for s in free_faces(X)] == [
             (face(t), face(c)) for t, c in sorted(index.items())]
+
+
+def test_spanning_workbench_cofaces_match_rescan():
+    # the survey's workbenches add their tops to a shared skeleton
+    # workbench, and the dual's to another
+    for n in range(2, 10):
+        for d in range(1, n):
+            for seed in range(3):
+                for wb in _spanning_workbenches(n, d, _kruskal(n, d, seed)[0]):
+                    if wb is not None:
+                        index = rescan_index(wb)
+                        assert mask_view(wb)[2] == by_size(wb, index)
+                        assert_cofaces(wb, index)
 
 
 def test_greedy_runs_on_random_complexes():

@@ -228,8 +228,9 @@ def test_spanning_torsion_of_a_singular_complex_is_zero():
 
 
 def test_report_does_not_depend_on_vertex_labels():
-    # a hypertree on {4..10} takes the spanning path with the largest label
-    # as its removed vertex and is classified exactly as its copy on {1..7}
+    # the spanning torsion of a hypertree on {4..10} drops the rows through
+    # its largest label, and is_hypertree classifies it exactly as its copy
+    # on {1..7}
     for seed in range(30):
         X = kruskal_generate(7, 2, seed)
         Y = relabeled(X, {v: v + 3 for v in X.ground_set})
@@ -390,10 +391,10 @@ def test_full_simplex_report_found_both_ways():
     assert (report.collapsible, report.anticollapsible) == (FOUND, FOUND)
 
 
-def test_q_cyclic_complex_on_the_spanning_fast_path():
+def test_q_cyclic_complex_of_spanning_shape():
     # complete 1-skeleton on [5] with C(4,2) = 6 triangles, four of which
-    # bound the tetrahedron [1234]: the spanning shortcut applies and must
-    # see the 2-cycle
+    # bound the tetrahedron [1234]: the face counts of a spanning complex,
+    # whose homology must still show the 2-cycle
     triangles = list(combinations((1, 2, 3, 4), 3)) + [(1, 2, 5), (3, 4, 5)]
     X = from_facets(triangles + list(combinations(range(1, 6), 2)))
     assert X.n_faces(2) == comb(4, 2)
